@@ -2,8 +2,7 @@
 flows: budget-gated noisy training, two privacy accountants, synthetic data
 generation and anomaly detection."""
 
-from .accounting import (Accountant, AccountantState, accountant_eps,
-                         exp_mech_binary, gaussian_mechanism,
+from .accounting import (Accountant, exp_mech_binary, gaussian_mechanism,
                          gaussian_mechanism_sigma, gdp_delta_for_eps,
                          gdp_eps_for_delta, gdp_mu, laplace_noise,
                          rdp_curve, rdp_subsampled_gaussian, rdp_to_dp)
@@ -14,11 +13,10 @@ from .data import (Dataset, dimwise_histogram, gen_gaussians8, gen_half_moons,
                    gen_pinwheel, knn_regress_mse, load_csv, make_cv_splits,
                    pca_project, save_csv, standardize, unstandardize)
 from .flows import (ActNormLayer, FlowModel, GmmBase, MadeLayer,
-                    ReversalLayer, SphericalGaussian, build_maf, nll_loss)
+                    ReversalLayer, SphericalGaussian, build_maf)
 from .gmm import GmmParams, gmm_fit_em, gmm_logpdf, gmm_sample
 from .initialization import InitConfig, dp_nf_init, laplace_init_scale
 from .training import (OptimizerState, TrainConfig, TrainReport, apply_update,
-                       clip_grad, clip_grads, noisy_mean, train_dp_nf,
-                       train_flow)
+                       noisy_mean, train_dp_nf, train_flow)
 
 __version__ = "0.1.0"

@@ -127,42 +127,14 @@ def gdp_eps_for_delta(mu: float, delta: float) -> tuple[float, bool]:
 
 
 @dataclass
-class AccountantState:
-    """Inputs the accountant maps to a spent epsilon."""
-
-    method: str  # "rdp" | "gdp"
-    steps: int
-    q: float
-    sigma: float
-    delta: float
-    orders: tuple = DEFAULT_ORDERS
-
-
-def accountant_eps(state: AccountantState) -> float:
-    """Spent epsilon after ``state.steps`` noisy gradient steps.
-
-    The clipping norm does not appear: noise is calibrated as sigma * C, so
-    epsilon depends only on (t, q, sigma, delta).
-    """
-    if state.steps == 0:
-        return 0.0
-    if state.method == "rdp":
-        step = rdp_curve(state.q, state.sigma, state.orders)
-        return rdp_to_dp(state.orders, state.steps * step, state.delta)
-    if state.method == "gdp":
-        eps, _ = gdp_eps_for_delta(gdp_mu(state.steps, state.q, state.sigma),
-                                   state.delta)
-        return eps
-    raise ConfigurationError(f"unknown accountant method {state.method!r}")
-
-
-@dataclass
 class Accountant:
     """Reusable accountant for a fixed (q, sigma, delta) training run.
 
     ``eps(t)`` is the budget spent after t steps; the per-step RDP curve is
     precomputed once. The GDP path is the CLT-approximate composition
-    (reported as such in run metadata).
+    (reported as such in run metadata). The clipping norm does not appear:
+    noise is calibrated as sigma * C, so epsilon depends only on
+    (t, q, sigma, delta).
     """
 
     method: str

@@ -1,10 +1,10 @@
 from .bases import GmmBase, SphericalGaussian, base_from_descriptor
 from .layers import (ACTNORM_SCALE_FLOOR, ActNormLayer, MadeLayer,
                      ReversalLayer, made_degrees, made_masks)
-from .model import FlowModel, build_maf, nll_loss
+from .model import FlowModel, build_maf
 
 __all__ = [
     "ACTNORM_SCALE_FLOOR", "ActNormLayer", "FlowModel", "GmmBase",
     "MadeLayer", "ReversalLayer", "SphericalGaussian", "base_from_descriptor",
-    "build_maf", "made_degrees", "made_masks", "nll_loss",
+    "build_maf", "made_degrees", "made_masks",
 ]

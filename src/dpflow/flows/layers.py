@@ -4,8 +4,14 @@ order reversal.
 All layers share one convention: ``forward`` maps data toward the base
 distribution (the density-evaluation direction) and returns the batch image
 together with log|det d(out)/d(in)| per example; ``inverse`` runs the
-sampling direction. ``forward_cache``/``backward`` implement reverse-mode
-accumulation of per-example parameter gradients.
+sampling direction. ``forward_cache``/``backward_pieces`` run reverse-mode
+accumulation down to per-example gradient factors, from which
+``pieces_sq_norms`` and ``pieces_weighted_sum`` form the clipped batch
+gradient without materializing per-example gradients.
+
+A layer's trainable tensors are the attributes named in ``tensor_names``.
+Once the layer joins a ``FlowModel`` they are views into the model's flat
+parameter buffer, so they are only ever written in place.
 """
 
 from __future__ import annotations
@@ -15,6 +21,31 @@ import numpy as np
 from ..errors import ConfigurationError
 
 ACTNORM_SCALE_FLOOR = 1e-6
+
+
+class _ParamTensors:
+    """Access to the tensors named in ``tensor_names``, in that order."""
+
+    tensor_names = ()
+
+    def param_tensors(self):
+        return [getattr(self, name) for name in self.tensor_names]
+
+    def set_param_tensors(self, tensors):
+        """Write ``tensors`` into the current tensors in place; every shape
+        must match exactly (no broadcasting)."""
+        values = [np.asarray(v, dtype=float) for v in tensors]
+        targets = self.param_tensors()
+        if len(values) != len(targets):
+            raise ConfigurationError(
+                f"expected {len(targets)} tensors, got {len(values)}")
+        for name, target, value in zip(self.tensor_names, targets, values):
+            if value.shape != target.shape:
+                raise ConfigurationError(
+                    f"tensor {name}: expected shape {target.shape}, "
+                    f"got {value.shape}")
+        for target, value in zip(targets, values):
+            target[...] = value
 
 
 def made_degrees(dim: int, hidden: int):
@@ -38,7 +69,7 @@ def made_masks(dim: int, hidden: int):
     return m1, m2, m_out
 
 
-class MadeLayer:
+class MadeLayer(_ParamTensors):
     """One masked autoregressive transform.
 
     Density direction: u_i = (x_i - mu_i(x_<i)) * exp(-alpha_i(x_<i)) with
@@ -69,14 +100,6 @@ class MadeLayer:
         self.b2 = np.zeros(hidden)
         self.bm = np.zeros(dim)
         self.ba = np.zeros(dim)
-
-    def param_tensors(self):
-        return [self.W1, self.W2, self.Wm, self.Wa,
-                self.b1, self.b2, self.bm, self.ba]
-
-    def set_param_tensors(self, tensors):
-        for name, value in zip(self.tensor_names, tensors):
-            setattr(self, name, np.asarray(value, dtype=float))
 
     def _heads(self, x):
         """Shift and squashed log-scale for a batch, with trunk intermediates."""
@@ -122,19 +145,6 @@ class MadeLayer:
         x, h1, h2, dz1, dz2, dmu, draw = pieces
         return [(dz1, x, self.m1), (dz2, h1, self.m2),
                 (dmu, h2, self.m_out), (draw, h2, self.m_out)]
-
-    def backward(self, cache, du, dld):
-        """Per-example gradients given upstream du = dL/du and
-        dld = dL/d(logdet). Returns (dx, grads in tensor order)."""
-        dx, pieces = self.backward_pieces(cache, du, dld)
-        return dx, self.pieces_per_example(pieces)
-
-    def pieces_per_example(self, pieces):
-        _, _, _, dz1, dz2, dmu, draw = pieces
-        grads = [np.einsum("mo,mi->moi", out, act) * mask
-                 for out, act, mask in self._factor_triples(pieces)]
-        grads.extend([dz1, dz2, dmu, draw])
-        return grads
 
     def pieces_sq_norms(self, pieces):
         """Per-example squared gradient norm over this layer's parameters.
@@ -184,28 +194,23 @@ class MadeLayer:
         return layer
 
 
-class ActNormLayer:
+class ActNormLayer(_ParamTensors):
     """Per-feature affine map (x - b) / w with a strictly positive scale."""
 
     tensor_names = ("w", "b")
 
     def __init__(self, dim: int, w=None, b=None):
         self.dim = dim
-        self.w = np.ones(dim) if w is None else np.asarray(w, dtype=float)
-        self.b = np.zeros(dim) if b is None else np.asarray(b, dtype=float)
+        self.w = np.ones(dim)
+        self.b = np.zeros(dim)
+        self.set_param_tensors([self.w if w is None else w,
+                                self.b if b is None else b])
         self._check_scale()
 
     def _check_scale(self):
         if np.any(self.w < ACTNORM_SCALE_FLOOR):
             raise ConfigurationError(
                 f"actnorm scale below floor {ACTNORM_SCALE_FLOOR}")
-
-    def param_tensors(self):
-        return [self.w, self.b]
-
-    def set_param_tensors(self, tensors):
-        self.w = np.asarray(tensors[0], dtype=float)
-        self.b = np.asarray(tensors[1], dtype=float)
 
     def project(self):
         """Clamp the scale back to its floor after an unconstrained update."""
@@ -228,13 +233,6 @@ class ActNormLayer:
         db = -du / self.w
         return dx, (dw, db)
 
-    def backward(self, cache, du, dld):
-        dx, pieces = self.backward_pieces(cache, du, dld)
-        return dx, list(pieces)
-
-    def pieces_per_example(self, pieces):
-        return list(pieces)
-
     def pieces_sq_norms(self, pieces):
         dw, db = pieces
         return np.sum(dw * dw + db * db, axis=1)
@@ -256,19 +254,11 @@ class ActNormLayer:
         return cls(desc["dim"], desc["params"]["w"], desc["params"]["b"])
 
 
-class ReversalLayer:
+class ReversalLayer(_ParamTensors):
     """Fixed coordinate flip i -> D-1-i; volume preserving."""
-
-    tensor_names = ()
 
     def __init__(self, dim: int):
         self.dim = dim
-
-    def param_tensors(self):
-        return []
-
-    def set_param_tensors(self, tensors):
-        pass
 
     def forward(self, x):
         return x[:, ::-1], np.zeros(x.shape[0])
@@ -278,12 +268,6 @@ class ReversalLayer:
 
     def backward_pieces(self, cache, du, dld):
         return du[:, ::-1], ()
-
-    def backward(self, cache, du, dld):
-        return du[:, ::-1], []
-
-    def pieces_per_example(self, pieces):
-        return []
 
     def pieces_sq_norms(self, pieces):
         return 0.0

@@ -1,10 +1,11 @@
 """Flow model: an ordered layer stack over a base density.
 
 Exact log-density via the change of variables, seeded sampling through the
-layer inverses, and per-example parameter gradients by reverse-mode
-accumulation. All trainable scalars live in one canonical flat layout
-(layer order, weights before biases within a layer, row-major), which is
-what clipping, noising and serialization operate on.
+layer inverses, and the clipped sum of per-example parameter gradients by
+reverse-mode accumulation. All trainable scalars live in one flat float64
+buffer, ``FlowModel.params``, in a canonical layout (layer order, weights
+before biases within a layer, row-major); each layer tensor is a view into
+it, so optimizers update the model by writing that buffer in place.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import json
 
 import numpy as np
 
-from ..errors import (NonFiniteInputError, NumericalOverflowError,
-                      TrainingInstabilityError)
+from ..errors import (ConfigurationError, DpflowError, NonFiniteInputError,
+                      NumericalOverflowError, TrainingInstabilityError)
 from .bases import SphericalGaussian, base_from_descriptor
 from .layers import LAYER_TYPES, ActNormLayer, MadeLayer, ReversalLayer
 
@@ -30,38 +31,31 @@ class FlowModel:
             if layer.dim != self.dim:
                 raise NonFiniteInputError(
                     f"layer dimension {layer.dim} != model dimension {self.dim}")
-        self._build_layout()
-
-    def _build_layout(self):
-        self._slices = []  # per layer: list of (start, end, shape)
+        self.n_params = sum(t.size for layer in self.layers
+                            for t in layer.param_tensors())
+        # Move every layer tensor into one buffer and rebind it to a view,
+        # so that an in-place update of ``params`` is the model update.
+        self.params = np.empty(self.n_params)
         offset = 0
         for layer in self.layers:
-            entries = []
-            for tensor in layer.param_tensors():
-                size = tensor.size
-                entries.append((offset, offset + size, tensor.shape))
-                offset += size
-            self._slices.append(entries)
-        self.n_params = offset
+            for name, tensor in zip(layer.tensor_names, layer.param_tensors()):
+                view = self.params[offset:offset + tensor.size].reshape(
+                    tensor.shape)
+                view[...] = tensor
+                setattr(layer, name, view)
+                offset += tensor.size
 
     # -- parameter layout ---------------------------------------------------
 
     def get_flat(self) -> np.ndarray:
-        out = np.empty(self.n_params)
-        for layer, entries in zip(self.layers, self._slices):
-            for tensor, (start, end, _) in zip(layer.param_tensors(), entries):
-                out[start:end] = tensor.ravel()
-        return out
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray):
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise NonFiniteInputError(
                 f"expected {self.n_params} parameters, got {flat.shape}")
-        for layer, entries in zip(self.layers, self._slices):
-            tensors = [flat[start:end].reshape(shape).copy()
-                       for start, end, shape in entries]
-            layer.set_param_tensors(tensors)
+        self.params[...] = flat
 
     def project_params(self):
         """Re-apply per-layer constraints (actnorm scale floor) after an
@@ -125,37 +119,14 @@ class FlowModel:
 
     # -- gradients ----------------------------------------------------------
 
-    def nll_and_grads(self, x):
-        """Per-example loss -log p(x) and its gradients in the flat layout.
+    def clipped_grad_sum(self, x, clip_norm: float):
+        """Sum over the batch of per-example loss gradients clipped to l2
+        norm ``clip_norm``, computed without materializing the (m, P)
+        gradient matrix. With ``clip_norm=np.inf`` and one row this is that
+        row's exact gradient of -log p.
 
-        Returns (losses (m,), grads (m, P)).
+        Returns (losses (m,), summed gradient (P,), per-example norms (m,)).
         """
-        losses, pieces = self._backward_pieces(x)
-        m = losses.shape[0]
-        grads = np.empty((m, self.n_params))
-        for layer, p, entries in zip(self.layers, pieces, self._slices):
-            for g, (start, end, _) in zip(layer.pieces_per_example(p),
-                                          entries):
-                grads[:, start:end] = g.reshape(m, -1)
-
-        if not np.all(np.isfinite(grads)):
-            bad = np.flatnonzero(~np.isfinite(grads).all(axis=0))[0]
-            for idx, entries in enumerate(self._slices):
-                if entries and entries[0][0] <= bad < entries[-1][1]:
-                    raise TrainingInstabilityError(
-                        f"non-finite gradient in layer {idx}", layer_index=idx)
-            raise TrainingInstabilityError("non-finite gradient")
-        return losses, grads
-
-    def per_example_grad(self, x) -> np.ndarray:
-        """Gradient of -log p at each input; (P,) for one point, else (m, P)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        _, grads = self.nll_and_grads(np.atleast_2d(x))
-        return grads[0] if single else grads
-
-    def _backward_pieces(self, x):
-        """Shared forward/backward sweep for the gradient paths."""
         pts, _ = self._check_input(x)
         m = pts.shape[0]
         z = pts
@@ -171,27 +142,15 @@ class FlowModel:
         pieces = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             du, pieces[i] = self.layers[i].backward_pieces(caches[i], du, dld)
-        return losses, pieces
 
-    def clipped_grad_sum(self, x, clip_norm: float):
-        """Sum over the batch of per-example loss gradients clipped to l2
-        norm ``clip_norm``, computed without materializing the (m, P)
-        gradient matrix.
-
-        Returns (losses (m,), summed gradient (P,), per-example norms (m,)).
-        """
-        losses, pieces = self._backward_pieces(x)
-        m = losses.shape[0]
         sq = np.zeros(m)
         for layer, p in zip(self.layers, pieces):
             sq = sq + layer.pieces_sq_norms(p)
         norms = np.sqrt(sq)
         factors = 1.0 / np.maximum(1.0, norms / clip_norm)
-        out = np.zeros(self.n_params)
-        for layer, p, entries in zip(self.layers, pieces, self._slices):
-            for tensor, (start, end, _) in zip(
-                    layer.pieces_weighted_sum(p, factors), entries):
-                out[start:end] = tensor.ravel()
+        sums = [tensor.ravel() for layer, p in zip(self.layers, pieces)
+                for tensor in layer.pieces_weighted_sum(p, factors)]
+        out = np.concatenate(sums) if sums else np.zeros(0)
         if not (np.all(np.isfinite(out)) and np.all(np.isfinite(norms))):
             raise TrainingInstabilityError("non-finite gradient in batch")
         return losses, out, norms
@@ -209,13 +168,25 @@ class FlowModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FlowModel":
-        doc = json.loads(text)
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise NonFiniteInputError(
-                f"unsupported model format {doc.get('format_version')}")
-        layers = [LAYER_TYPES[d["type"]].from_descriptor(d)
-                  for d in doc["layers"]]
-        return cls(layers, base_from_descriptor(doc["base"]))
+        """Rebuild a model from ``to_json`` output. Invalid JSON, a missing
+        entry, an unknown layer type or a tensor of the wrong shape raises
+        ConfigurationError."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format_version") != FORMAT_VERSION:
+                raise NonFiniteInputError(
+                    f"unsupported model format {doc.get('format_version')}")
+            layers = []
+            for desc in doc["layers"]:
+                if desc["type"] not in LAYER_TYPES:
+                    raise ConfigurationError(
+                        f"unknown layer type {desc['type']!r}")
+                layers.append(LAYER_TYPES[desc["type"]].from_descriptor(desc))
+            return cls(layers, base_from_descriptor(doc["base"]))
+        except DpflowError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed model file: {exc!r}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -225,10 +196,6 @@ class FlowModel:
     def load(cls, path) -> "FlowModel":
         with open(path) as fh:
             return cls.from_json(fh.read())
-
-
-def nll_loss(model: FlowModel, batch) -> float:
-    return model.nll(batch)
 
 
 def build_maf(dim: int, n_blocks: int = 5, hidden: int = 64,

@@ -1,8 +1,9 @@
 """Noisy gradient training of flow models.
 
-Each iteration draws a uniform without-replacement batch, computes
-per-example gradients, clips them to an l2 bound, averages with Gaussian
-noise, and applies an SGD or Adam update. The loop halts before executing
+Each iteration draws a uniform without-replacement (or Poisson) batch, asks
+the model for the sum of its per-example gradients clipped to an l2 bound,
+averages that sum with Gaussian noise, and applies an SGD or Adam update in
+place to the model's flat parameter buffer. The loop halts before executing
 any step whose cumulative accountant cost would reach the epsilon budget.
 """
 
@@ -86,66 +87,43 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def clip_grad(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale g to l2 norm at most clip_norm: g / max(1, |g| / C)."""
-    if clip_norm <= 0:
-        raise ConfigurationError("clip norm must be positive")
-    norm = float(np.linalg.norm(g))
-    return g / max(1.0, norm / clip_norm)
+def noisy_mean(total: np.ndarray, clip_norm: float, noise_multiplier: float,
+               rng, denominator: int) -> np.ndarray:
+    """(sum of clipped gradients + N(0, (sigma C)^2 I)) / denominator.
 
-
-def clip_grads(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Row-wise clipping of a (m, P) per-example gradient matrix."""
-    if clip_norm <= 0:
-        raise ConfigurationError("clip norm must be positive")
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    return grads / np.maximum(1.0, norms / clip_norm)
-
-
-def _noisy_mean_from_sum(total: np.ndarray, clip_norm: float,
-                         noise_multiplier: float, rng,
-                         denominator: int) -> np.ndarray:
+    ``denominator`` is the nominal batch size b, also under Poisson
+    sampling, where the drawn size varies.
+    """
     if denominator < 1:
-        raise ConfigurationError("empty gradient list")
+        raise ConfigurationError("empty gradient batch")
     if noise_multiplier > 0:
         total = total + rng.normal(
             0.0, noise_multiplier * clip_norm, size=total.shape)
     return total / denominator
 
 
-def noisy_mean(grads, clip_norm: float, noise_multiplier: float, rng,
-               denominator: int | None = None) -> np.ndarray:
-    """(sum of clipped gradients + N(0, (sigma C)^2 I)) / b.
-
-    ``denominator`` defaults to the number of gradients; Poisson sampling
-    passes the nominal batch size instead.
-    """
-    grads = np.asarray(grads, dtype=float)
-    if grads.ndim == 1:
-        grads = grads[None, :]
-    return _noisy_mean_from_sum(
-        grads.sum(axis=0), clip_norm, noise_multiplier, rng,
-        grads.shape[0] if denominator is None else denominator)
-
-
 def apply_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
                  config: TrainConfig):
-    """One optimizer step on the flat parameter vector; returns
-    (new params, new state). Adam is plain post-processing of the (already
-    private) gradient, so it leaves the privacy guarantee unchanged."""
+    """One optimizer step on a flat parameter vector, in place: ``params``
+    and the Adam moments in ``state`` are overwritten. Adam is plain
+    post-processing of the (already private) gradient, so it leaves the
+    privacy guarantee unchanged."""
     if params.shape != grad.shape:
         raise ConfigurationError("parameter / gradient shape mismatch")
     if config.optimizer == "sgd":
-        return params - config.learning_rate * grad, state
+        params -= config.learning_rate * grad
+        return
     if state.m is None:
-        state = OptimizerState(np.zeros_like(params), np.zeros_like(params), 0)
-    t = state.step + 1
-    m = config.beta1 * state.m + (1 - config.beta1) * grad
-    v = config.beta2 * state.v + (1 - config.beta2) * grad * grad
-    m_hat = m / (1 - config.beta1 ** t)
-    v_hat = v / (1 - config.beta2 ** t)
-    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return new_params, OptimizerState(m, v, t)
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    state.step += 1
+    t = state.step
+    state.m *= config.beta1
+    state.m += (1 - config.beta1) * grad
+    state.v *= config.beta2
+    state.v += (1 - config.beta2) * grad * grad
+    m_hat = state.m / (1 - config.beta1 ** t)
+    v_hat = state.v / (1 - config.beta2 ** t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
 def _draw_batch(rng, n: int, config: TrainConfig):
@@ -175,7 +153,6 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
     seq = np.random.SeedSequence(config.seed)
     sample_rng, noise_rng = (np.random.default_rng(s) for s in seq.spawn(2))
 
-    params = model.get_flat()
     state = OptimizerState()
     report = TrainReport()
     denominator = config.batch_size
@@ -200,7 +177,7 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
         idx = _draw_batch(sample_rng, n, config)
         skip = False
         if idx.size == 0:  # possible under poisson sampling: noise-only step
-            clipped_sum = np.zeros(params.size)
+            clipped_sum = np.zeros(model.n_params)
         else:
             try:
                 losses, clipped_sum, _ = model.clipped_grad_sum(
@@ -220,13 +197,10 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
             t += 1
             continue
         bad_streak = 0
-        noisy = _noisy_mean_from_sum(clipped_sum, config.clip_norm,
-                                     config.noise_multiplier, noise_rng,
-                                     denominator)
-        params, state = apply_update(params, noisy, state, config)
-        model.set_flat(params)
+        noisy = noisy_mean(clipped_sum, config.clip_norm,
+                           config.noise_multiplier, noise_rng, denominator)
+        apply_update(model.params, noisy, state, config)
         model.project_params()
-        params = model.get_flat()
         spent = eps_next
         report.steps += 1
         if report.steps % config.eval_every == 0:
@@ -248,13 +222,10 @@ def train_flow(X, model: FlowModel, n_steps: int, batch_size: int = 128,
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     config = TrainConfig(learning_rate=learning_rate, optimizer="adam")
-    params = model.get_flat()
     state = OptimizerState()
     for _ in range(n_steps):
         idx = rng.permutation(n)[:min(batch_size, n)]
         _, grad_sum, _ = model.clipped_grad_sum(X[idx], np.inf)
-        params, state = apply_update(params, grad_sum / idx.size, state, config)
-        model.set_flat(params)
+        apply_update(model.params, grad_sum / idx.size, state, config)
         model.project_params()
-        params = model.get_flat()
     return model

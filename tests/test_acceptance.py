@@ -48,7 +48,7 @@ def random_small_model(rng):
     model.set_flat(rng.normal(0.0, 0.4, model.n_params))
     for layer in model.layers:
         if isinstance(layer, ActNormLayer):
-            layer.w = np.abs(layer.w) + 0.5
+            layer.w[...] = np.abs(layer.w) + 0.5
     return model
 
 
@@ -61,7 +61,7 @@ def test_criterion_1_gradient_correctness():
             model = random_small_model(rng)
             flat = model.get_flat()
             x = rng.normal(size=model.dim)
-            grad = model.per_example_grad(x)
+            grad = model.clipped_grad_sum(x[None], np.inf)[1]
             h = 1e-5
             for j in range(model.n_params):
                 bumped = flat.copy()
@@ -152,8 +152,8 @@ def test_criterion_3_accountant_fidelity():
 
         q = 100 / 21384
         for t in (10 ** 3, 10 ** 4, 10 ** 5):
-            rdp = acc.accountant_eps(acc.AccountantState("rdp", t, q, 2.1, 1e-4))
-            gdp = acc.accountant_eps(acc.AccountantState("gdp", t, q, 2.1, 1e-4))
+            rdp = acc.Accountant("rdp", q, 2.1, 1e-4).eps(t)
+            gdp = acc.Accountant("gdp", q, 2.1, 1e-4).eps(t)
             assert gdp < rdp, f"t={t}: gdp {gdp} not below rdp {rdp}"
 
 

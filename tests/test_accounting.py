@@ -133,14 +133,13 @@ class TestGdp:
 class TestAccountantEps:
     def test_zero_steps_both_methods(self):
         for method in ("rdp", "gdp"):
-            state = acc.AccountantState(method, 0, 0.01, 1.0, 1e-5)
-            assert acc.accountant_eps(state) == 0.0
+            assert acc.Accountant(method, 0.01, 1.0, 1e-5).eps(0) == 0.0
 
     def test_gdp_below_rdp_on_reference_parameters(self):
         q = 100 / 21384
         for t in (10 ** 3, 10 ** 4, 10 ** 5):
-            rdp = acc.accountant_eps(acc.AccountantState("rdp", t, q, 2.1, 1e-4))
-            gdp = acc.accountant_eps(acc.AccountantState("gdp", t, q, 2.1, 1e-4))
+            rdp = acc.Accountant("rdp", q, 2.1, 1e-4).eps(t)
+            gdp = acc.Accountant("gdp", q, 2.1, 1e-4).eps(t)
             assert gdp < rdp
 
     def test_monotone_in_steps(self):

@@ -257,3 +257,20 @@ def test_exit_codes(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "error" in proc.stderr.lower()
+
+    # A model file whose MADE weight has the wrong shape is rejected on load
+    # instead of broadcasting into a silently wrong model.
+    from dpflow.flows import build_maf
+    doc = json.loads(build_maf(2, n_blocks=1, hidden=4, seed=0).to_json())
+    doc["layers"][0]["params"]["W1"] = [[1.0]]
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_text(json.dumps(doc))
+    rows = tmp_path / "rows.csv"
+    rows.write_text("0.0,0.0\n1.0,1.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpflow.cli", "logprob", "--model",
+         str(bad_model), "--data", str(rows)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

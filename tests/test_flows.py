@@ -7,7 +7,9 @@ import pytest
 from dpflow.errors import (ConfigurationError, NonFiniteInputError,
                            NumericalOverflowError)
 from dpflow.flows import (ActNormLayer, FlowModel, MadeLayer, ReversalLayer,
-                          SphericalGaussian, build_maf, made_masks, nll_loss)
+                          SphericalGaussian, build_maf, made_masks)
+from dpflow.initialization import InitConfig, dp_nf_init
+from dpflow.training import TrainConfig, train_dp_nf
 
 
 def random_model(rng, dim=None, hidden=None, blocks=None, actnorm=None,
@@ -21,8 +23,14 @@ def random_model(rng, dim=None, hidden=None, blocks=None, actnorm=None,
     model.set_flat(rng.normal(0.0, scale, model.n_params))
     for layer in model.layers:
         if isinstance(layer, ActNormLayer):
-            layer.w = np.abs(layer.w) + 0.5
+            layer.w[...] = np.abs(layer.w) + 0.5
     return model
+
+
+def example_grad(model, x):
+    """Exact gradient of -log p at one point (D,), from the fused path that
+    training runs: a one-row batch with no clipping."""
+    return model.clipped_grad_sum(np.asarray(x, dtype=float)[None], np.inf)[1]
 
 
 def numerical_jacobian(fn, x, h=1e-6):
@@ -232,21 +240,21 @@ class TestNll:
     def test_identity_flow_single_point(self):
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
         model.set_flat(np.zeros(model.n_params))
-        assert nll_loss(model, np.zeros((1, 2))) \
+        assert model.nll(np.zeros((1, 2))) \
             == pytest.approx(math.log(2 * math.pi))
 
     def test_duplicate_row_invariance(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, dim=2)
         row = rng.normal(size=(1, 2))
-        assert nll_loss(model, row) \
-            == pytest.approx(nll_loss(model, np.vstack([row, row])))
+        assert model.nll(row) \
+            == pytest.approx(model.nll(np.vstack([row, row])))
 
     def test_matches_mean_log_prob(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, dim=3)
         batch = rng.normal(size=(17, 3))
-        assert nll_loss(model, batch) \
+        assert model.nll(batch) \
             == pytest.approx(-np.mean(model.log_prob(batch)), rel=1e-15)
 
     def test_empty_batch(self):
@@ -258,7 +266,7 @@ class TestNll:
 class TestPerExampleGrad:
     def test_actnorm_offset_symbolic(self):
         model = FlowModel([ActNormLayer(1)], SphericalGaussian(1))
-        grad = model.per_example_grad(np.array([1.0]))
+        grad = example_grad(model, np.array([1.0]))
         # layout: [w, b]; d(-log p)/db = -(x - b)/w^2 = -1
         assert grad[1] == pytest.approx(-1.0, rel=1e-12)
         assert grad[0] == pytest.approx(0.0, abs=1e-12)
@@ -269,7 +277,7 @@ class TestPerExampleGrad:
             model = random_model(rng)
             flat = model.get_flat()
             x = rng.normal(size=model.dim)
-            grad = model.per_example_grad(x)
+            grad = example_grad(model, x)
             h = 1e-5
             for j in rng.choice(model.n_params,
                                 size=min(60, model.n_params), replace=False):
@@ -288,17 +296,19 @@ class TestPerExampleGrad:
     def test_stationary_shift_biases(self):
         model = build_maf(2, n_blocks=2, hidden=6, seed=0)
         model.set_flat(np.zeros(model.n_params))
-        grad = model.per_example_grad(np.zeros(2))
-        for layer, entries in zip(model.layers, model._slices):
+        # Loading the gradient as parameters lays it out per tensor.
+        model.set_flat(example_grad(model, np.zeros(2)))
+        for layer in model.layers:
             if isinstance(layer, MadeLayer):
-                start, end, _ = entries[6]  # bm slice
-                np.testing.assert_allclose(grad[start:end], 0.0, atol=1e-15)
+                np.testing.assert_allclose(layer.bm, 0.0, atol=1e-15)
 
     def test_batch_shape(self):
         rng = np.random.default_rng(14)
         model = random_model(rng, dim=2)
-        grads = model.per_example_grad(rng.normal(size=(7, 2)))
-        assert grads.shape == (7, model.n_params)
+        losses, total, norms = model.clipped_grad_sum(
+            rng.normal(size=(7, 2)), 1.0)
+        assert losses.shape == norms.shape == (7,)
+        assert total.shape == (model.n_params,)
 
 
 class TestSerialization:
@@ -341,6 +351,24 @@ class TestSerialization:
                                       reloaded.log_prob(pts))
 
 
+@pytest.mark.parametrize("case", ["wrong_shape", "missing_tensor",
+                                  "unknown_layer", "invalid_json"])
+def test_malformed_model_file_rejected(case):
+    doc = json.loads(build_maf(2, n_blocks=1, hidden=4, seed=0).to_json())
+    made, reversal = doc["layers"]
+    if case == "wrong_shape":
+        made["params"]["W1"] = [[1.0]]  # would broadcast if not rejected
+    elif case == "missing_tensor":
+        del made["params"]["b1"]
+    elif case == "unknown_layer":
+        reversal["type"] = "coupling"
+    text = json.dumps(doc)
+    if case == "invalid_json":
+        text = text[:-5]
+    with pytest.raises(ConfigurationError):
+        FlowModel.from_json(text)
+
+
 class TestLayout:
     def test_flat_round_trip(self):
         rng = np.random.default_rng(18)
@@ -348,6 +376,27 @@ class TestLayout:
         flat = rng.normal(size=model.n_params)
         model.set_flat(flat)
         np.testing.assert_array_equal(model.get_flat(), flat)
+
+    def test_tensors_alias_params(self):
+        """Every layer tensor is a view into ``params`` after training,
+        loading and private initialization."""
+        def check(model):
+            for layer in model.layers:
+                for tensor in layer.param_tensors():
+                    assert np.shares_memory(tensor, model.params)
+            np.testing.assert_array_equal(
+                model.get_flat(),
+                np.concatenate([t.ravel() for layer in model.layers
+                                for t in layer.param_tensors()]))
+
+        X = np.random.default_rng(19).normal(size=(200, 2))
+        model = build_maf(2, n_blocks=2, hidden=6, actnorm=True, seed=0)
+        dp_nf_init(X, model, InitConfig(epsilon=1.0, seed=0))
+        check(model)
+        model, _ = train_dp_nf(X, model, TrainConfig(
+            epsilon=10.0, batch_size=20, max_steps=5, seed=0))
+        check(model)
+        check(FlowModel.from_json(model.to_json()))
 
     def test_layout_covers_all_parameters(self):
         model = build_maf(3, n_blocks=2, hidden=8, actnorm=True, seed=0)
