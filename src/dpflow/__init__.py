@@ -5,7 +5,8 @@ generation and anomaly detection."""
 from .accounting import (Accountant, exp_mech_binary, gaussian_mechanism,
                          gaussian_mechanism_sigma, gdp_delta_for_eps,
                          gdp_eps_for_delta, gdp_mu, laplace_noise,
-                         rdp_curve, rdp_subsampled_gaussian, rdp_to_dp)
+                         rdp_curve, rdp_subsampled_gaussian, rdp_to_dp,
+                         steps_for_budget)
 from .anomaly import (EnsembleDetector, RocCurve, build_ensemble, dp_ad_query,
                       gen_tail_anomalies, majority_label, partition_indices,
                       roc, select_threshold, threshold_classify)

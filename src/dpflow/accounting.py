@@ -9,6 +9,7 @@ ratio q, noise multiplier sigma, tolerance delta) to a spent epsilon:
 * ``gdp``: Gaussian-DP composition with the CLT-approximate per-run
   mu = q * sqrt(t * (exp(1/sigma^2) - 1)), converted analytically.
 
+``steps_for_budget`` turns either into the number of steps a budget allows.
 Also provides the Gaussian and Laplace noise mechanisms and the binary
 exponential mechanism used for private vote aggregation.
 """
@@ -158,21 +159,31 @@ class Accountant:
         eps, _ = gdp_eps_for_delta(gdp_mu(t, self.q, self.sigma), self.delta)
         return eps
 
-    def steps_for_budget(self, epsilon: float, t_max: int = 10_000_000) -> int:
-        """Largest t with eps(t) < epsilon (0 if even one step exceeds it)."""
-        if self.eps(1) >= epsilon:
-            return 0
-        lo, hi = 1, 2
-        while hi <= t_max and self.eps(hi) < epsilon:
-            lo, hi = hi, hi * 2
-        hi = min(hi, t_max + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.eps(mid) < epsilon:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+
+def steps_for_budget(eps_fn, epsilon: float, t_max: int = 10_000_000) -> int:
+    """Largest t <= t_max with eps_fn(t) < epsilon (0 if even one step
+    reaches it), by doubling and bisection; ``eps_fn`` (e.g.
+    ``Accountant.eps``) must be nondecreasing in t. A non-finite epsilon
+    raises ConfigurationError."""
+    def under(t):
+        eps = eps_fn(t)
+        if not math.isfinite(eps):
+            raise ConfigurationError("accountant returned non-finite epsilon")
+        return eps < epsilon
+
+    if t_max < 1 or not under(1):
+        return 0
+    lo, hi = 1, 2
+    while hi <= t_max and under(hi):
+        lo, hi = hi, hi * 2
+    hi = min(hi, t_max + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if under(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def gaussian_mechanism_sigma(l2_sensitivity: float, eps: float, delta: float) -> float:

@@ -48,6 +48,11 @@ class _ParamTensors:
             target[...] = value
 
 
+def _row_dot(a, b):
+    """sum_j a[i, j] * b[i, j] for each row i."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def made_degrees(dim: int, hidden: int):
     """Sequential degree assignment: input i gets degree i+1, hidden units
     cycle over [1, dim-1] (degree 0 when dim == 1, i.e. no input feeds)."""
@@ -149,15 +154,16 @@ class MadeLayer(_ParamTensors):
     def pieces_sq_norms(self, pieces):
         """Per-example squared gradient norm over this layer's parameters.
 
-        For a masked outer product, sum_{oi} (out_o act_i M_oi)^2 reduces to
-        a single matrix product since M is binary.
+        For a masked outer product, sum_{oi} (out_o act_i M_oi)^2 =
+        sum_o out_o^2 [(act^2) @ M.T]_o since M is binary; the bias gradient
+        out_o adds out_o^2, folded in as +1. Both heads read h2 through
+        m_out, so they share one product.
         """
-        _, _, _, dz1, dz2, dmu, draw = pieces
-        total = np.zeros(dz1.shape[0])
-        for out, act, mask in self._factor_triples(pieces):
-            total += np.sum(out * out * ((act * act) @ mask.T), axis=1)
-        for factor in (dz1, dz2, dmu, draw):  # bias gradients
-            total += np.sum(factor * factor, axis=1)
+        x, h1, h2, dz1, dz2, dmu, draw = pieces
+        total = _row_dot(dz1 * dz1, (x * x) @ self.m1.T + 1.0)
+        total += _row_dot(dz2 * dz2, (h1 * h1) @ self.m2.T + 1.0)
+        total += _row_dot(dmu * dmu + draw * draw,
+                          (h2 * h2) @ self.m_out.T + 1.0)
         return total
 
     def pieces_weighted_sum(self, pieces, weights):

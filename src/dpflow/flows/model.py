@@ -11,6 +11,7 @@ it, so optimizers update the model by writing that buffer in place.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,6 +23,15 @@ from .layers import LAYER_TYPES, ActNormLayer, MadeLayer, ReversalLayer
 FORMAT_VERSION = 1
 
 
+def _finite_float(text: str) -> float:
+    """JSON number hook: Python's json accepts NaN and Infinity, and an
+    overlong literal parses to inf; a model holds neither."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"non-finite value {text} in model file")
+    return value
+
+
 class FlowModel:
     def __init__(self, layers, base):
         self.layers = list(layers)
@@ -29,12 +39,16 @@ class FlowModel:
         self.dim = base.dim
         for layer in self.layers:
             if layer.dim != self.dim:
-                raise NonFiniteInputError(
+                raise ConfigurationError(
                     f"layer dimension {layer.dim} != model dimension {self.dim}")
         self.n_params = sum(t.size for layer in self.layers
                             for t in layer.param_tensors())
-        # Move every layer tensor into one buffer and rebind it to a view,
-        # so that an in-place update of ``params`` is the model update.
+        self._bind_params()
+
+    def _bind_params(self):
+        """Move every layer tensor into one new buffer ``params`` and rebind
+        it to a view, so that an in-place update of ``params`` is the model
+        update."""
         self.params = np.empty(self.n_params)
         offset = 0
         for layer in self.layers:
@@ -44,6 +58,17 @@ class FlowModel:
                 view[...] = tensor
                 setattr(layer, name, view)
                 offset += tensor.size
+
+    # A copy or unpickled model would hold each layer tensor as its own
+    # array; drop the buffer from the state and bind a new one on restore.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["params"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_params()
 
     # -- parameter layout ---------------------------------------------------
 
@@ -168,13 +193,15 @@ class FlowModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FlowModel":
-        """Rebuild a model from ``to_json`` output. Invalid JSON, a missing
-        entry, an unknown layer type or a tensor of the wrong shape raises
-        ConfigurationError."""
+        """Rebuild a model from ``to_json`` output. Invalid JSON, an
+        unsupported format version, a missing entry, an unknown layer type,
+        a tensor of the wrong shape, a layer/base dimension mismatch or a
+        non-finite value raises ConfigurationError."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_float=_finite_float,
+                             parse_constant=_finite_float)
             if doc.get("format_version") != FORMAT_VERSION:
-                raise NonFiniteInputError(
+                raise ConfigurationError(
                     f"unsupported model format {doc.get('format_version')}")
             layers = []
             for desc in doc["layers"]:
@@ -185,7 +212,8 @@ class FlowModel:
             return cls(layers, base_from_descriptor(doc["base"]))
         except DpflowError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise ConfigurationError(f"malformed model file: {exc!r}") from exc
 
     def save(self, path):

@@ -1,10 +1,12 @@
 """Noisy gradient training of flow models.
 
-Each iteration draws a uniform without-replacement (or Poisson) batch, asks
-the model for the sum of its per-example gradients clipped to an l2 bound,
-averages that sum with Gaussian noise, and applies an SGD or Adam update in
-place to the model's flat parameter buffer. The loop halts before executing
-any step whose cumulative accountant cost would reach the epsilon budget.
+Each iteration draws a uniform without-replacement (or Poisson) batch in
+O(b) time, asks the model for the sum of its per-example gradients clipped to
+an l2 bound, averages that sum with Gaussian noise, and applies an SGD or Adam
+update in place to the model's flat parameter buffer. The number of steps is
+fixed once, before the loop, as the last step whose cumulative accountant cost
+stays below the epsilon budget (capped at ``max_steps``); the accountant is
+consulted again only at checkpoints and at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accounting import Accountant
+from .accounting import Accountant, steps_for_budget
 from .errors import (ConfigurationError, NumericalOverflowError,
                      TrainingInstabilityError)
 from .flows import FlowModel
@@ -59,6 +61,7 @@ class OptimizerState:
     m: np.ndarray | None = None  # first moment (adam)
     v: np.ndarray | None = None  # second moment (adam)
     step: int = 0
+    scratch: tuple = ()          # two work buffers for the adam step
 
 
 @dataclass
@@ -96,10 +99,14 @@ def noisy_mean(total: np.ndarray, clip_norm: float, noise_multiplier: float,
     """
     if denominator < 1:
         raise ConfigurationError("empty gradient batch")
-    if noise_multiplier > 0:
-        total = total + rng.normal(
-            0.0, noise_multiplier * clip_norm, size=total.shape)
-    return total / denominator
+    if noise_multiplier <= 0:
+        return total / denominator
+    # Same stream and floats as total + rng.normal(0, sigma C), one buffer.
+    out = rng.standard_normal(total.shape)
+    out *= noise_multiplier * clip_norm
+    out += total
+    out /= denominator
+    return out
 
 
 def apply_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
@@ -115,31 +122,48 @@ def apply_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
         return
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    if not state.scratch:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
     state.step += 1
     t = state.step
+    a, b = state.scratch
+    # Same operations in the same order as the allocating form
+    #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    #   params -= lr m_hat / (sqrt(v_hat) + eps)
+    # so the floats are identical.
     state.m *= config.beta1
-    state.m += (1 - config.beta1) * grad
+    state.m += np.multiply(grad, 1 - config.beta1, out=a)
     state.v *= config.beta2
-    state.v += (1 - config.beta2) * grad * grad
-    m_hat = state.m / (1 - config.beta1 ** t)
-    v_hat = state.v / (1 - config.beta2 ** t)
-    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    np.multiply(grad, 1 - config.beta2, out=a)
+    state.v += np.multiply(a, grad, out=a)
+    np.divide(state.m, 1 - config.beta1 ** t, out=a)
+    a *= config.learning_rate
+    np.divide(state.v, 1 - config.beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += config.adam_eps
+    params -= np.divide(a, b, out=a)
 
 
 def _draw_batch(rng, n: int, config: TrainConfig):
+    """Row indices of one batch, drawn in O(b).
+
+    Uniform: b distinct rows. Poisson: a Binomial(n, q) size, then that many
+    distinct rows, which includes every row independently with q = b / n.
+    """
     if config.sampling == "poisson":
-        mask = rng.random(n) < config.batch_size / n
-        return np.flatnonzero(mask)
-    return rng.permutation(n)[:config.batch_size]
+        size = rng.binomial(n, config.batch_size / n)
+        return rng.choice(n, size, replace=False)
+    return rng.choice(n, config.batch_size, replace=False)
 
 
 def train_dp_nf(X, model: FlowModel, config: TrainConfig,
                 accountant: Accountant | None = None, holdout=None):
     """Budget-gated noisy training (returns the mutated model and a report).
 
-    The accountant is consulted with the prospective step count before each
-    update; training stops once executing the next step would spend at least
-    the configured epsilon, or at the iteration cap.
+    The run draws ``steps_for_budget(accountant.eps, epsilon, max_steps)``
+    batches: every step it executes (or skips on a non-finite batch, which
+    is still charged) keeps the cumulative cost below the configured
+    epsilon. ``accountant`` is anything with a nondecreasing ``eps(t)``.
     """
     config.validate()
     X = np.asarray(X, dtype=float)
@@ -149,6 +173,8 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
     if accountant is None:
         accountant = Accountant(config.accountant, config.batch_size / n,
                                 config.noise_multiplier, config.delta)
+    horizon = steps_for_budget(accountant.eps, config.epsilon,
+                               config.max_steps)
 
     seq = np.random.SeedSequence(config.seed)
     sample_rng, noise_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -157,23 +183,21 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
     report = TrainReport()
     denominator = config.batch_size
     bad_streak = 0
-    spent = 0.0
 
-    def checkpoint(step):
+    def spent(t):
+        """Budget charged for the first t drawn batches."""
+        return accountant.eps(t) if t else 0.0
+
+    def checkpoint(step, epsilon):
         if report.checkpoints and report.checkpoints[-1].step == step:
             return
         probe = X[:min(n, 2048)]
         train_nll = model.nll(probe)
         hold_nll = model.nll(holdout) if holdout is not None else None
-        report.checkpoints.append(Checkpoint(step, spent, train_nll, hold_nll))
+        report.checkpoints.append(
+            Checkpoint(step, epsilon, train_nll, hold_nll))
 
-    t = 1
-    while t <= config.max_steps:
-        eps_next = accountant.eps(t)
-        if not np.isfinite(eps_next):
-            raise ConfigurationError("accountant returned non-finite epsilon")
-        if eps_next >= config.epsilon:
-            break
+    for t in range(1, horizon + 1):
         idx = _draw_batch(sample_rng, n, config)
         skip = False
         if idx.size == 0:  # possible under poisson sampling: noise-only step
@@ -193,22 +217,18 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
             if bad_streak > config.max_bad_batches:
                 raise TrainingInstabilityError(
                     f"{bad_streak} consecutive non-finite batches")
-            spent = eps_next
-            t += 1
             continue
         bad_streak = 0
         noisy = noisy_mean(clipped_sum, config.clip_norm,
                            config.noise_multiplier, noise_rng, denominator)
         apply_update(model.params, noisy, state, config)
         model.project_params()
-        spent = eps_next
         report.steps += 1
         if report.steps % config.eval_every == 0:
-            checkpoint(report.steps)
-        t += 1
+            checkpoint(report.steps, spent(t))
 
-    report.final_epsilon = spent
-    checkpoint(report.steps)
+    report.final_epsilon = spent(horizon)
+    checkpoint(report.steps, report.final_epsilon)
     return model, report
 
 
@@ -224,7 +244,7 @@ def train_flow(X, model: FlowModel, n_steps: int, batch_size: int = 128,
     config = TrainConfig(learning_rate=learning_rate, optimizer="adam")
     state = OptimizerState()
     for _ in range(n_steps):
-        idx = rng.permutation(n)[:min(batch_size, n)]
+        idx = rng.choice(n, min(batch_size, n), replace=False)
         _, grad_sum, _ = model.clipped_grad_sum(X[idx], np.inf)
         apply_update(model.params, grad_sum / idx.size, state, config)
         model.project_params()

@@ -52,6 +52,7 @@ def random_small_model(rng):
     return model
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_correctness():
     with criterion(1, "analytic per-example gradients match central finite "
                       "differences (rel < 1e-5) on 100 random small models"):
@@ -78,6 +79,7 @@ def test_criterion_1_gradient_correctness():
         assert worst < 1e-5, f"worst relative error {worst}"
 
 
+@pytest.mark.slow
 def test_criterion_2_flow_invariants():
     with criterion(2, "invertibility < 1e-8, log-det vs numerical Jacobian "
                       "< 1e-4, 1-D density integrates to 1 +- 1e-3"):
@@ -121,6 +123,7 @@ def test_criterion_2_flow_invariants():
             assert abs(integral - 1.0) < 1e-3
 
 
+@pytest.mark.slow
 def test_criterion_3_accountant_fidelity():
     with criterion(3, "RDP matches high-precision oracle to 1e-6 rel, GDP "
                       "round-trips to 1e-9, GDP below RDP on the reference "
@@ -157,6 +160,7 @@ def test_criterion_3_accountant_fidelity():
             assert gdp < rdp, f"t={t}: gdp {gdp} not below rdp {rdp}"
 
 
+@pytest.mark.slow
 def test_criterion_4_mechanism_distributions():
     with criterion(4, "Gaussian/Laplace empirical moments within 3% over 1e5 "
                       "draws; exponential-mechanism frequencies within 3 "
@@ -204,6 +208,7 @@ def train_on_split(X_all, seed, epsilon, accountant, base_kind="spherical"):
     return float(np.mean(model.log_prob(test)))
 
 
+@pytest.mark.slow
 def test_criterion_5_half_moons_training():
     with criterion(5, "half-moons, GDP accountant, eps=3.0, delta=3.7e-5: "
                       "mean held-out log-likelihood >= -2.60 over 3 seeds"):
@@ -218,6 +223,7 @@ def test_criterion_5_half_moons_training():
         assert mean_ll >= -2.60
 
 
+@pytest.mark.slow
 def test_criterion_6_gmm_prior_ordering():
     with criterion(6, "pinwheel at matched eps=4.5 (moments accounting): "
                       "5-component EM-fit mixture base beats the spherical "
@@ -238,6 +244,7 @@ def test_criterion_6_gmm_prior_ordering():
         assert mean_gap >= 0.2
 
 
+@pytest.mark.slow
 def test_criterion_7_dp_ad_behavior():
     with criterion(7, "k=10 ensemble on half-moons + tail anomalies: "
                       "query frequencies match the vote formula (3 sigma) "
@@ -290,6 +297,7 @@ def test_criterion_7_dp_ad_behavior():
         assert acc_private > 0.5  # the detector does better than chance
 
 
+@pytest.mark.slow
 def test_criterion_8_evaluation_utilities():
     with criterion(8, "kNN equals brute force (n <= 50), ROC AUC equals "
                       "pair counting on 100 score sets, PCA orthonormality "

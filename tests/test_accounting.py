@@ -155,8 +155,35 @@ class TestAccountantEps:
 
     def test_steps_for_budget_is_last_step_under_budget(self):
         a = acc.Accountant("gdp", 0.01, 1.0, 1e-5)
-        t = a.steps_for_budget(2.0)
+        t = acc.steps_for_budget(a.eps, 2.0)
         assert a.eps(t) < 2.0 <= a.eps(t + 1)
+
+
+class TestStepsForBudget:
+    def test_matches_linear_scan(self):
+        """Doubling and bisection find what a step-by-step scan finds."""
+        for method in ("rdp", "gdp"):
+            a = acc.Accountant(method, 0.05, 1.0, 1e-5)
+            for budget in (0.5, 1.0, 2.0):
+                t = 0
+                while a.eps(t + 1) < budget:
+                    t += 1
+                assert acc.steps_for_budget(a.eps, budget) == t
+
+    def test_capped_at_t_max(self):
+        assert acc.steps_for_budget(lambda t: 0.0, 1.0, t_max=37) == 37
+        assert acc.steps_for_budget(lambda t: 0.1 * t, 1.0, t_max=5) == 5
+        assert acc.steps_for_budget(lambda t: 0.0, 1.0, t_max=0) == 0
+
+    def test_first_step_over_budget(self):
+        assert acc.steps_for_budget(lambda t: 1.0, 1.0) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            acc.steps_for_budget(lambda t: bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            acc.steps_for_budget(lambda t: bad if t > 3 else 0.0, 1.0)
 
 
 class TestGaussianMechanism:

@@ -274,3 +274,17 @@ def test_exit_codes(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+    # A non-finite tensor value is rejected too, instead of sampling NaN rows.
+    doc = json.loads(build_maf(2, n_blocks=1, hidden=4, seed=0).to_json())
+    doc["layers"][0]["params"]["bm"] = [float("nan"), 0.0]
+    bad_model.write_text(json.dumps(doc))
+    out = tmp_path / "synth.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpflow.cli", "sample", "--model",
+         str(bad_model), "--n", "5", "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

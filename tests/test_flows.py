@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from dpflow.errors import (ConfigurationError, NonFiniteInputError,
 from dpflow.flows import (ActNormLayer, FlowModel, MadeLayer, ReversalLayer,
                           SphericalGaussian, build_maf, made_masks)
 from dpflow.initialization import InitConfig, dp_nf_init
-from dpflow.training import TrainConfig, train_dp_nf
+from dpflow.training import (OptimizerState, TrainConfig, apply_update,
+                             train_dp_nf)
 
 
 def random_model(rng, dim=None, hidden=None, blocks=None, actnorm=None,
@@ -311,6 +314,34 @@ class TestPerExampleGrad:
         assert total.shape == (model.n_params,)
 
 
+class TestMadeSqNorms:
+    def test_fused_matches_explicit_per_example_norms(self):
+        """pieces_sq_norms equals the squared norm of each example's
+        materialised masked weight and bias gradients."""
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            m = int(rng.integers(1, 30))
+            layer = MadeLayer(dim, hidden, s_max=float(rng.uniform(1, 5)),
+                              rng=rng)
+            layer.set_param_tensors([rng.normal(0, 0.5, t.shape)
+                                     for t in layer.param_tensors()])
+            _, _, cache = layer.forward_cache(rng.normal(size=(m, dim)))
+            _, pieces = layer.backward_pieces(
+                cache, rng.normal(size=(m, dim)), rng.normal(size=m))
+            x, h1, h2, dz1, dz2, dmu, draw = pieces
+            grads = [np.einsum("mo,mi->moi", out, act) * mask
+                     for out, act, mask in ((dz1, x, layer.m1),
+                                            (dz2, h1, layer.m2),
+                                            (dmu, h2, layer.m_out),
+                                            (draw, h2, layer.m_out))]
+            grads += [dz1, dz2, dmu, draw]
+            explicit = sum(np.sum(g.reshape(m, -1) ** 2, axis=1)
+                           for g in grads)
+            np.testing.assert_allclose(layer.pieces_sq_norms(pieces),
+                                       explicit, rtol=1e-13, atol=0)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(15)
@@ -352,7 +383,9 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize("case", ["wrong_shape", "missing_tensor",
-                                  "unknown_layer", "invalid_json"])
+                                  "unknown_layer", "invalid_json",
+                                  "nan_tensor", "inf_literal", "bad_version",
+                                  "dim_mismatch"])
 def test_malformed_model_file_rejected(case):
     doc = json.loads(build_maf(2, n_blocks=1, hidden=4, seed=0).to_json())
     made, reversal = doc["layers"]
@@ -362,9 +395,18 @@ def test_malformed_model_file_rejected(case):
         del made["params"]["b1"]
     elif case == "unknown_layer":
         reversal["type"] = "coupling"
+    elif case == "nan_tensor":
+        made["params"]["bm"] = [math.nan, 0.0]
+    elif case == "bad_version":
+        doc["format_version"] = 2
+    elif case == "dim_mismatch":
+        doc["base"]["dim"] = 3
     text = json.dumps(doc)
     if case == "invalid_json":
         text = text[:-5]
+    elif case == "inf_literal":  # parses to inf without the NaN keyword
+        text = text.replace('"ba": [0.0, 0.0]', '"ba": [1e999, 0.0]')
+        assert "1e999" in text
     with pytest.raises(ConfigurationError):
         FlowModel.from_json(text)
 
@@ -397,6 +439,25 @@ class TestLayout:
             epsilon=10.0, batch_size=20, max_steps=5, seed=0))
         check(model)
         check(FlowModel.from_json(model.to_json()))
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_alias_their_params(self, how):
+        rng = np.random.default_rng(20)
+        model = random_model(rng, dim=2, actnorm=True)
+        clone = copy.deepcopy(model) if how == "deepcopy" \
+            else pickle.loads(pickle.dumps(model))
+        for layer in clone.layers:
+            for tensor in layer.param_tensors():
+                assert np.shares_memory(tensor, clone.params)
+                assert not np.shares_memory(tensor, model.params)
+        np.testing.assert_array_equal(clone.params, model.params)
+        pts = rng.normal(size=(10, 2))
+        before = model.log_prob(pts)
+        np.testing.assert_array_equal(clone.log_prob(pts), before)
+        apply_update(clone.params, rng.normal(size=clone.n_params),
+                     OptimizerState(), TrainConfig(learning_rate=0.1))
+        assert not np.array_equal(clone.log_prob(pts), before)
+        np.testing.assert_array_equal(model.log_prob(pts), before)
 
     def test_layout_covers_all_parameters(self):
         model = build_maf(3, n_blocks=2, hidden=8, actnorm=True, seed=0)

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpflow.accounting import Accountant, steps_for_budget
 from dpflow.data import gen_half_moons, standardize
 from dpflow.errors import ConfigurationError
 from dpflow.flows import build_maf
-from dpflow.training import (OptimizerState, TrainConfig, apply_update,
-                             noisy_mean, train_dp_nf, train_flow)
+from dpflow.training import (OptimizerState, TrainConfig, _draw_batch,
+                             apply_update, noisy_mean, train_dp_nf,
+                             train_flow)
 
 from test_flows import example_grad
 
@@ -84,7 +86,40 @@ class TestClipGrad:
                                    rtol=1e-12)
 
 
+def noisy_mean_oracle(total, clip_norm, noise_multiplier, rng, denominator):
+    """The allocating form ``noisy_mean`` must reproduce bit for bit."""
+    if noise_multiplier > 0:
+        total = total + rng.normal(
+            0.0, noise_multiplier * clip_norm, size=total.shape)
+    return total / denominator
+
+
+def adam_oracle(params, grad, m, v, t, config):
+    """The allocating Adam step ``apply_update`` must reproduce bit for
+    bit; updates ``params``, ``m`` and ``v``."""
+    m *= config.beta1
+    m += (1 - config.beta1) * grad
+    v *= config.beta2
+    v += (1 - config.beta2) * grad * grad
+    m_hat = m / (1 - config.beta1 ** t)
+    v_hat = v / (1 - config.beta2 ** t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+
+
 class TestNoisyMean:
+    def test_bitwise_equal_to_allocating_form(self):
+        rng = np.random.default_rng(4)
+        a, b = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(5):
+            total = rng.normal(size=257) * 10.0 ** rng.integers(-3, 4, 257)
+            # Denominators other than powers of two, where scaling is exact.
+            args = (float(rng.uniform(0.1, 300)), float(rng.uniform(0.1, 3)))
+            denominator = int(rng.integers(3, 200)) | 1
+            out = noisy_mean(total.copy(), *args, a, denominator)
+            assert out.tobytes() == noisy_mean_oracle(
+                total, *args, b, denominator).tobytes()
+        assert a.random() == b.random()  # same number of draws consumed
+
     def test_zero_noise_is_exact_mean(self):
         rng = np.random.default_rng(2)
         grads = rng.normal(size=(5, 7))
@@ -139,10 +174,57 @@ class TestApplyUpdate:
         apply_update(params, np.zeros(2), OptimizerState(), cfg)
         np.testing.assert_array_equal(params, [2.0, -1.0])
 
+    def test_adam_bitwise_equal_to_allocating_form(self):
+        rng = np.random.default_rng(5)
+        cfg = TrainConfig(learning_rate=3e-4, optimizer="adam")
+        params = rng.normal(size=300)
+        expected, m, v = params.copy(), np.zeros(300), np.zeros(300)
+        state = OptimizerState()
+        for t in range(1, 9):
+            grad = rng.normal(size=300) * 10.0 ** rng.integers(-6, 6, 300)
+            apply_update(params, grad, state, cfg)
+            adam_oracle(expected, grad, m, v, t, cfg)
+            assert params.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+
     def test_dimension_mismatch(self):
         cfg = TrainConfig(optimizer="sgd")
         with pytest.raises(ConfigurationError):
             apply_update(np.zeros(3), np.zeros(2), OptimizerState(), cfg)
+
+
+class TestDrawBatch:
+    @given(st.integers(1, 5000), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_uniform_is_b_distinct_rows(self, n, data):
+        b = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        idx = _draw_batch(rng, n, TrainConfig(batch_size=b))
+        assert idx.shape == (b,)
+        assert np.unique(idx).size == b
+        assert 0 <= idx.min() and idx.max() < n
+
+    def test_poisson_includes_each_row_with_probability_q(self):
+        n, b, reps = 500, 40, 20_000
+        q = b / n
+        cfg = TrainConfig(batch_size=b, sampling="poisson")
+        rng = np.random.default_rng(123)
+        sizes = np.empty(reps)
+        counts = np.zeros(n)
+        for r in range(reps):
+            idx = _draw_batch(rng, n, cfg)
+            assert np.unique(idx).size == idx.size
+            assert idx.size == 0 or (0 <= idx.min() and idx.max() < n)
+            sizes[r] = idx.size
+            counts[idx] += 1
+        # Binomial(n, q) size: mean n q, variance n q (1 - q); bounds are
+        # five standard errors at this sample count.
+        var = n * q * (1 - q)
+        assert sizes.mean() == pytest.approx(n * q, abs=5 * np.sqrt(var / reps))
+        assert sizes.var() == pytest.approx(var, abs=5 * var * np.sqrt(2 / reps))
+        rate_se = np.sqrt(q * (1 - q) / reps)
+        assert np.abs(counts / reps - q).max() < 5 * rate_se
 
 
 class StubAccountant:
@@ -205,6 +287,36 @@ class TestTrainDpNf:
         from dpflow.accounting import Accountant
         acct = Accountant("gdp", 32 / 400, 1e6, 1e-5)
         assert report.final_epsilon == pytest.approx(acct.eps(report.steps))
+
+    @pytest.mark.parametrize("method,budget", [("gdp", 2.0), ("rdp", 5.0)])
+    @pytest.mark.parametrize("max_steps", [5, 1000])
+    def test_steps_match_budget_horizon(self, method, budget, max_steps):
+        """The horizon computed once equals what checking the accountant
+        before every step gives."""
+        X = tiny_dataset()
+        acct = Accountant(method, 32 / 400, 1.0, 1e-5)
+        cfg = TrainConfig(epsilon=budget, batch_size=32, noise_multiplier=1.0,
+                          delta=1e-5, accountant=method, max_steps=max_steps,
+                          seed=0, eval_every=4)
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        _, report = train_dp_nf(X, model, cfg)
+        scanned = 0
+        while scanned < max_steps and acct.eps(scanned + 1) < budget:
+            scanned += 1
+        assert 5 < scanned < 1000 if max_steps == 1000 else scanned == 5
+        assert report.skipped_batches == 0
+        assert report.steps == scanned == min(
+            max_steps, steps_for_budget(acct.eps, budget))
+        assert report.final_epsilon == acct.eps(scanned) < budget
+        assert [c.epsilon for c in report.checkpoints] == \
+            [acct.eps(c.step) for c in report.checkpoints]
+
+    def test_non_finite_epsilon_rejected(self):
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        with pytest.raises(ConfigurationError):
+            train_dp_nf(tiny_dataset(), model,
+                        TrainConfig(batch_size=32, max_steps=10),
+                        accountant=StubAccountant(lambda t: float("nan")))
 
     def test_improvement_on_half_moons(self):
         ds = standardize(gen_half_moons(30_000, seed=1))
