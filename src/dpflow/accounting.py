@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, gammaln, log_ndtr, logsumexp, ndtr
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalOverflowError
 
 DEFAULT_ORDERS = tuple(range(2, 257))
 
@@ -105,7 +105,8 @@ def gdp_eps_for_delta(mu: float, delta: float) -> tuple[float, bool]:
 
     Returns (eps, bracketed). delta(eps) is strictly decreasing in eps, so
     the root is unique when it exists; if ``delta >= delta(0)`` there is no
-    eps >= 0 to find and (0.0, False) is returned.
+    eps >= 0 to find and (0.0, False) is returned. An epsilon above 1e6
+    raises NumericalOverflowError.
     """
     if mu <= 0.0:
         raise ConfigurationError("mu must be positive")
@@ -117,9 +118,12 @@ def gdp_eps_for_delta(mu: float, delta: float) -> tuple[float, bool]:
     while gdp_delta_for_eps(mu, hi) > delta:
         lo, hi = hi, hi * 2.0
         if hi > 1e6:
-            raise ArithmeticError("failed to bracket eps below 1e6")
+            raise NumericalOverflowError(
+                f"epsilon exceeds 1e6 at mu={mu!r}, delta={delta!r}")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats (eps >= 4096): no finer bracket exists
         if gdp_delta_for_eps(mu, mid) > delta:
             lo = mid
         else:

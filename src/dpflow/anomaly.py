@@ -28,6 +28,8 @@ def select_threshold(scores, labels):
 
     Candidates are midpoints between adjacent sorted unique scores plus the
     two all-in / all-out extremes; ties break toward the larger threshold.
+    Each candidate's correct count comes from binary searches of its value
+    in the sorted scores of each class, so the search is O(n log n).
     Returns (threshold, accuracy). Labels: 1 = in-distribution.
     """
     scores = np.asarray(scores, dtype=float)
@@ -35,14 +37,18 @@ def select_threshold(scores, labels):
     if len(set(labels.tolist())) < 2:
         raise ConfigurationError("both classes must be present")
     uniq = np.unique(scores)
-    candidates = [uniq[0] - 1.0, uniq[-1]]
-    candidates.extend(0.5 * (uniq[:-1] + uniq[1:]))
-    best_t, best_acc = None, -1.0
-    for t in candidates:
-        acc = float(np.mean((scores > t).astype(int) == labels))
-        if acc > best_acc or (acc == best_acc and t > best_t):
-            best_t, best_acc = float(t), acc
-    return best_t, best_acc
+    candidates = np.concatenate([[uniq[0] - 1.0, uniq[-1]],
+                                 0.5 * (uniq[:-1] + uniq[1:])])
+    # Search on candidate values, not positions in uniq: a midpoint that
+    # rounds onto a neighbouring score must still count it as "out".
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    correct = (pos.size - np.searchsorted(pos, candidates, side="right")
+               + np.searchsorted(neg, candidates, side="right"))
+    best = np.flatnonzero(correct == correct.max())
+    # np.argmax keeps the first of equal values, as a strict ">" scan would.
+    i = best[np.argmax(candidates[best])]
+    return float(candidates[i]), int(correct[i]) / scores.size
 
 
 @dataclass

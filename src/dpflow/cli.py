@@ -8,7 +8,6 @@ CSV files.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 
@@ -65,9 +64,7 @@ def _write_manifest(command: str, cfg: dict, extra: dict | None = None):
 
 def _write_rows(path, header, rows):
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        dt.write_rows(fh, header, rows)
 
 
 def _echo_json(obj):
@@ -241,7 +238,7 @@ def logprob(ctx, **_):
     ds = _load_matrix(cfg["data"], cfg["has_header"])
     lp = model.log_prob(ds.X)
     if cfg["out"]:
-        _write_rows(cfg["out"], ["log_prob"], [[repr(float(v))] for v in lp])
+        _write_rows(cfg["out"], ["log_prob"], lp[:, None])
     _write_manifest("logprob", cfg)
     _echo_json({"mean_log_prob": float(np.mean(lp)), "rows": ds.n})
 
@@ -298,15 +295,13 @@ def accountant_cmd(ctx, **_):
     gdp = Accountant("gdp", cfg["q"], cfg["sigma"], cfg["delta"])
     grid = np.unique(np.geomspace(cfg["t_min"], cfg["t_max"],
                                   cfg["points"]).astype(int))
-    rows = [[t, repr(rdp.eps(int(t))), repr(gdp.eps(int(t))),
-             repr(gdp_mu(int(t), cfg["q"], cfg["sigma"]))] for t in grid]
+    rows = [[t, rdp.eps(t), gdp.eps(t), gdp_mu(t, cfg["q"], cfg["sigma"])]
+            for t in grid.tolist()]
     header = ["t", "eps_rdp", "eps_gdp", "mu"]
     if cfg["out"]:
         _write_rows(cfg["out"], header, rows)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        dt.write_rows(sys.stdout, header, rows)
     _write_manifest("accountant", cfg, {"gdp_note": "CLT-approximate"})
 
 
@@ -361,8 +356,7 @@ def anomaly_roc(ctx, **_):
                              np.zeros(ds.n, dtype=int)])
     curve = ad.roc(scores, labels)
     _write_rows(cfg["out"], ["threshold", "fpr", "tpr"],
-                [[repr(float(t)), repr(float(f)), repr(float(p))]
-                 for t, f, p in zip(curve.thresholds, curve.fpr, curve.tpr)])
+                np.column_stack([curve.thresholds, curve.fpr, curve.tpr]))
     threshold, accuracy = ad.select_threshold(scores, labels)
     _write_manifest("anomaly-roc", cfg)
     _echo_json({"auc": curve.auc, "best_threshold": threshold,
@@ -414,7 +408,7 @@ def dp_ad(ctx, **_):
         for c, label, child in zip(votes, labels, seq.spawn(len(votes))):
             predicted = exp_mech_binary(int(c), detector.k, eps, child)
             correct += int(predicted == bool(label))
-        rows.append([repr(eps), repr(correct / len(labels))])
+        rows.append([eps, correct / len(labels)])
     _write_rows(cfg["out"], ["eps", "accuracy"], rows)
     _write_manifest("dp-ad", cfg, {
         "threshold": detector.threshold,
@@ -463,7 +457,7 @@ def project_pca(ctx, **_):
     projected, comps = dt.pca_project(ds, components=cfg["components"])
     _write_rows(cfg["out"],
                 [f"pc{i + 1}" for i in range(cfg["components"])],
-                [[repr(float(v)) for v in row] for row in projected])
+                projected)
     _write_manifest("project-pca", cfg)
     _echo_json({"components": comps.tolist(), "out": cfg["out"]})
 
@@ -482,7 +476,7 @@ def hist(ctx, **_):
     rows = []
     for j, (edges, counts) in enumerate(dt.dimwise_histogram(ds, cfg["bins"])):
         for b in range(len(counts)):
-            rows.append([j, repr(float(edges[b])), repr(float(edges[b + 1])),
+            rows.append([j, float(edges[b]), float(edges[b + 1]),
                          int(counts[b])])
     _write_rows(cfg["out"], ["dim", "bin_left", "bin_right", "count"], rows)
     _write_manifest("hist", cfg)

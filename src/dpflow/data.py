@@ -39,7 +39,13 @@ class Dataset:
 
 def load_csv(path, has_header: bool = False) -> Dataset:
     """Parse a rectangular numeric CSV; the first line becomes column names
-    when ``has_header`` is set."""
+    when ``has_header`` is set.
+
+    A cell is read as Python's ``float()`` reads it. After the row widths
+    are checked, all rows are converted in one call; only when that fails
+    are the cells converted one by one, to name the row and column of the
+    first non-numeric cell.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -51,32 +57,46 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         if not rows:
             raise ConfigurationError(f"{path}: header but no data rows")
     width = len(rows[0])
-    data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ConfigurationError(
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: "
-                    f"{cell!r}") from None
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = np.empty((len(rows), width))
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    data[i, j] = float(cell)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}: non-numeric cell at row {i + 1}, "
+                        f"column {j + 1}: {cell!r}") from None
     if not np.all(np.isfinite(data)):
         raise NonFiniteInputError(f"{path}: non-finite values")
     return Dataset(data, columns=columns)
 
 
+def write_rows(fh, header, rows):
+    """Write a CSV table to an open text file: the header row (if any) with
+    csv quoting, then one line per row, each cell the ``repr`` of a Python
+    int or float (for a float, the shortest text that reads back exactly).
+    ``rows`` is a 2-D float array or a list of rows of Python numbers."""
+    if header is not None:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
 def save_csv(path, dataset: Dataset | np.ndarray):
-    X = dataset.X if isinstance(dataset, Dataset) else np.atleast_2d(dataset)
-    columns = dataset.columns if isinstance(dataset, Dataset) else None
+    if isinstance(dataset, Dataset):
+        X, columns = dataset.X, dataset.columns
+    else:
+        X, columns = np.atleast_2d(np.asarray(dataset, dtype=float)), None
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if columns is not None:
-            writer.writerow(columns)
-        for row in X:
-            writer.writerow([repr(float(v)) for v in row])
+        write_rows(fh, columns, X)
 
 
 def standardize(dataset: Dataset) -> Dataset:

@@ -14,7 +14,8 @@ class ConfigurationError(DpflowError, ValueError):
 
 
 class NumericalOverflowError(DpflowError, ArithmeticError):
-    """A transform produced a non-finite intermediate value."""
+    """A transform produced a non-finite intermediate value, or a quantity
+    left the range its search covers."""
 
     def __init__(self, message, layer_index=None):
         super().__init__(message)

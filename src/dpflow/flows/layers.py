@@ -177,12 +177,24 @@ class MadeLayer(_ParamTensors):
 
     def inverse(self, u):
         """Sequential inversion: coordinate i needs only coordinates < i,
-        which are final after pass i."""
+        which are final after pass i.
+
+        For D > 1, output 0 reads no hidden unit (row 0 of ``m_out`` is
+        zero), so its shift and log-scale are the bias terms and pass 0
+        needs no trunk evaluation. After the trunk pass for coordinate D-1
+        every head has its final inputs, so that pass also gives the
+        log-determinant: D-1 trunk evaluations in all (one when D == 1,
+        where the hidden units read only biases).
+        """
         x = np.array(u, dtype=float)
-        for i in range(self.dim):
+        first = 0
+        if self.dim > 1:
+            alpha0 = self.s_max * np.tanh(self.ba[0] / self.s_max)
+            x[:, 0] = u[:, 0] * np.exp(alpha0) + self.bm[0]
+            first = 1
+        for i in range(first, self.dim):
             mu, alpha, _ = self._heads(x)
             x[:, i] = u[:, i] * np.exp(alpha[:, i]) + mu[:, i]
-        mu, alpha, _ = self._heads(x)
         return x, alpha.sum(axis=1)
 
     def descriptor(self):

@@ -76,10 +76,15 @@ class FlowModel:
         return self.params.copy()
 
     def set_flat(self, flat: np.ndarray):
+        """Write a flat parameter vector into ``params``. A wrong length
+        raises ConfigurationError and a NaN or infinity NonFiniteInputError,
+        both before anything is written."""
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
-            raise NonFiniteInputError(
+            raise ConfigurationError(
                 f"expected {self.n_params} parameters, got {flat.shape}")
+        if not np.all(np.isfinite(flat)):
+            raise NonFiniteInputError("parameters contain non-finite values")
         self.params[...] = flat
 
     def project_params(self):

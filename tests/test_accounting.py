@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dpflow import accounting as acc
-from dpflow.errors import ConfigurationError
+from dpflow.errors import (ConfigurationError, DpflowError,
+                           NumericalOverflowError)
 
 
 def rdp_oracle(alpha, q, sigma):
@@ -124,6 +125,31 @@ class TestGdp:
     def test_no_bracket_flag(self):
         eps, bracketed = acc.gdp_eps_for_delta(1.0, 0.9)
         assert eps == 0.0 and not bracketed
+
+    @pytest.mark.parametrize("mu", [100.0, 300.0, 1000.0])
+    def test_eps_between_4096_and_bracket_terminates(self, mu, monkeypatch):
+        # Above 4096 adjacent floats are more than 1e-12 apart, so the
+        # bisection has to stop on float adjacency, not on the width.
+        calls = []
+        delta_fn = acc.gdp_delta_for_eps
+
+        def counted(m, e):
+            calls.append(e)
+            assert len(calls) < 10_000, "bisection does not terminate"
+            return delta_fn(m, e)
+
+        monkeypatch.setattr(acc, "gdp_delta_for_eps", counted)
+        eps, bracketed = acc.gdp_eps_for_delta(mu, 1e-5)
+        assert bracketed and 4096 < eps < 1e6
+        assert delta_fn(mu, eps * (1 - 1e-9)) > 1e-5 >= delta_fn(
+            mu, eps * (1 + 1e-9))
+
+    def test_eps_above_bracket_raises_package_error(self):
+        with pytest.raises(NumericalOverflowError) as err:
+            acc.gdp_eps_for_delta(3000.0, 1e-5)
+        assert isinstance(err.value, DpflowError)
+        with pytest.raises(NumericalOverflowError):
+            acc.Accountant("gdp", 0.5, 0.5, 1e-5).eps(10 ** 6)
 
     def test_log_space_path_large_eps(self):
         d = acc.gdp_delta_for_eps(0.5, 40.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpflow.anomaly import (EnsembleDetector, build_ensemble, dp_ad_query,
                             gen_tail_anomalies, majority_label,
@@ -66,6 +68,61 @@ class TestSelectThreshold:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
             select_threshold([1.0, 2.0], [1, 1])
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bitwise_equal_to_loop_oracle(self, values, data):
+        # Draw scores from a small pool so that ties are common, and labels
+        # that hold both classes.
+        picks = data.draw(st.lists(st.integers(0, len(values) - 1),
+                                   min_size=2, max_size=80))
+        scores = np.array([values[i] for i in picks])
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=len(scores), max_size=len(scores))))
+        labels[0], labels[1] = 0, 1
+        assert_same_as_oracle(scores, labels)
+
+    def test_midpoint_rounding_onto_a_score(self):
+        # The midpoint of two adjacent floats rounds onto one of them.
+        a = 1.0
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) in (a, b)
+        for labels in ([0, 1], [1, 0], [1, 1, 0], [0, 0, 1]):
+            scores = np.array([a, b, a, b][:len(labels)])
+            assert_same_as_oracle(scores, np.array(labels))
+        assert_same_as_oracle(np.array([-b, -a, a, b, 0.0]),
+                              np.array([0, 1, 0, 1, 1]))
+
+    def test_large_pooled_scores(self):
+        rng = np.random.default_rng(2)
+        scores = np.round(rng.normal(size=3000), 3)
+        labels = (rng.random(3000) < 0.5 + 0.2 * np.tanh(scores)).astype(int)
+        assert_same_as_oracle(scores, labels)
+
+
+def select_threshold_loop(scores, labels):
+    """The O(n^2) reference: every candidate's accuracy from a full pass
+    over the scores, scanned in candidate order with ties to the larger
+    threshold."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    uniq = np.unique(scores)
+    candidates = [uniq[0] - 1.0, uniq[-1]]
+    candidates.extend(0.5 * (uniq[:-1] + uniq[1:]))
+    best_t, best_acc = None, -1.0
+    for t in candidates:
+        acc = float(np.mean((scores > t).astype(int) == labels))
+        if acc > best_acc or (acc == best_acc and t > best_t):
+            best_t, best_acc = float(t), acc
+    return best_t, best_acc
+
+
+def assert_same_as_oracle(scores, labels):
+    got = select_threshold(scores, labels)
+    want = select_threshold_loop(scores, labels)
+    assert type(got[0]) is float and type(got[1]) is float
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
 
 def auc_pair_counting(scores, labels):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dpflow import anomaly as ad
+from dpflow import data as dt
+from dpflow.accounting import Accountant, gdp_mu
 from dpflow.cli import cli
+from dpflow.flows import FlowModel
+from test_data import csv_writer_oracle
 
 
 @pytest.fixture
@@ -223,6 +228,77 @@ def test_project_pca_and_hist(runner, small_data, tmp_path):
     assert sum(counts) == 400
 
 
+def test_tables_match_csv_writer_oracle(runner, small_data, tmp_path):
+    """Every CLI table is written as csv.writer would write the repr of
+    each value, recomputed here through the library."""
+    def run(*args):
+        result = runner.invoke(cli, [*args, "--manifest",
+                                     str(tmp_path / "m.json")])
+        assert result.exit_code == 0, result.output
+        return result.output
+
+    def assert_table(path, header, rows):
+        assert path.read_text() == csv_writer_oracle(header, rows)
+
+    ds = dt.load_csv(small_data)
+    model_path = tmp_path / "model.json"
+    assert runner.invoke(cli, train_args(small_data, model_path)).exit_code == 0
+    model = FlowModel.load(model_path)
+
+    out = tmp_path / "lp.csv"
+    run("logprob", "--model", str(model_path), "--data", str(small_data),
+        "--out", str(out))
+    assert_table(out, ["log_prob"], model.log_prob(ds.X)[:, None])
+
+    out = tmp_path / "roc.csv"
+    summary = json.loads(run("anomaly-roc", "--model", str(model_path),
+                             "--data", str(small_data), "--seed", "4",
+                             "--out", str(out)))
+    anomalies = ad.gen_tail_anomalies(ds.X, ds.n, seed=4)
+    scores = np.concatenate([model.log_prob(ds.X), model.log_prob(anomalies)])
+    labels = np.repeat([1, 0], ds.n)
+    curve = ad.roc(scores, labels)
+    assert_table(out, ["threshold", "fpr", "tpr"],
+                 zip(curve.thresholds, curve.fpr, curve.tpr))
+    assert (summary["best_threshold"], summary["best_accuracy"]) == \
+        ad.select_threshold(scores, labels)
+
+    header = ["t", "eps_rdp", "eps_gdp", "mu"]
+    rdp = Accountant("rdp", 0.01, 1.1, 1e-5)
+    gdp = Accountant("gdp", 0.01, 1.1, 1e-5)
+    rows = [[t, rdp.eps(t), gdp.eps(t), gdp_mu(t, 0.01, 1.1)]
+            for t in [1, 3, 10, 31, 100]]
+    args = ["accountant", "--q", "0.01", "--sigma", "1.1", "--delta", "1e-5",
+            "--t-max", "100", "--points", "5"]
+    out = tmp_path / "acct.csv"
+    run(*args, "--out", str(out))
+    assert_table(out, header, rows)
+    assert run(*args) == csv_writer_oracle(header, rows)
+
+    out = tmp_path / "hist.csv"
+    run("hist", "--data", str(small_data), "--bins", "6", "--out", str(out))
+    assert_table(out, ["dim", "bin_left", "bin_right", "count"],
+                 [[j, edges[b], edges[b + 1], int(counts[b])]
+                  for j, (edges, counts) in enumerate(
+                      dt.dimwise_histogram(ds, 6))
+                  for b in range(len(counts))])
+
+    out = tmp_path / "pca.csv"
+    run("project-pca", "--data", str(small_data), "--out", str(out))
+    assert_table(out, ["pc1", "pc2"], dt.pca_project(ds, components=2)[0])
+
+    # dp-ad: the eps column is the grid as given and every accuracy cell is
+    # the repr of a float.
+    out = tmp_path / "sweep.csv"
+    run("dp-ad", "--data", str(small_data), "--k", "2", "--eps", "0.1,1e-05,7",
+        "--train-steps", "5", "--hidden", "4", "--blocks", "1", "--seed", "6",
+        "--out", str(out))
+    cells = read_csv_rows(out)[1:]
+    assert [float(eps) for eps, _ in cells] == [0.1, 1e-05, 7.0]
+    assert_table(out, ["eps", "accuracy"],
+                 [[float(eps), float(accuracy)] for eps, accuracy in cells])
+
+
 def test_flag_overrides_config_file(runner, small_data, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"shape": "half-moons", "n": 10, "seed": 1}))
@@ -288,3 +364,14 @@ def test_exit_codes(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+    # A GDP epsilon beyond the accountant's search range is an error line,
+    # not a traceback (and epsilons above 4096 on the way there finish).
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpflow.cli", "accountant", "--q", "0.5",
+         "--sigma", "0.5", "--delta", "1e-5", "--t-max", "1000000",
+         "--manifest", str(tmp_path / "acct.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -1,11 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from dpflow.data import (Dataset, dimwise_histogram, gen_gaussians8,
                          gen_half_moons, gen_pinwheel, knn_regress_mse,
                          load_csv, make_cv_splits, pca_project, save_csv,
-                         standardize, unstandardize)
-from dpflow.errors import ConfigurationError
+                         standardize, unstandardize, write_rows)
+from dpflow.errors import ConfigurationError, NonFiniteInputError
 
 
 class TestCsv:
@@ -48,6 +51,90 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ConfigurationError, match="empty"):
             load_csv(path)
+
+
+def csv_writer_oracle(header, rows):
+    """The reference table writer: csv.writer over repr(float(v)) cells
+    (ints written as they are)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows([[v if isinstance(v, int) else repr(float(v))
+                       for v in row] for row in rows])
+    return buf.getvalue()
+
+
+class TestCsvBulk:
+    def test_save_csv_bytes_match_writer_oracle(self, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        X[0] = [np.inf, -np.inf, -0.0]
+        X[1] = [0.0, 5e-324, 1.7976931348623157e308]
+        path = tmp_path / "x.csv"
+        save_csv(path, X)
+        assert path.read_bytes() == csv_writer_oracle(None, X).encode()
+        ds = Dataset(X[2:], columns=["a,b", 'say "c"', "d"])
+        save_csv(path, ds)
+        assert path.read_bytes() == \
+            csv_writer_oracle(ds.columns, ds.X).encode()
+        # Integer and 1-D inputs are written as floats, one row.
+        save_csv(path, np.array([1, 2, 3]))
+        assert path.read_text() == "1.0,2.0,3.0\n"
+
+    def test_write_rows_mixed_int_float_rows(self):
+        rows = [[0, 0.1, 1e-05, 7], [1, -2.5, float("inf"), 0]]
+        buf = io.StringIO()
+        write_rows(buf, ["dim", "lo", "hi", "count"], rows)
+        assert buf.getvalue() == csv_writer_oracle(
+            ["dim", "lo", "hi", "count"], rows)
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", " 1.5 ", "+.5", "1e-400", "-0", "0x10", "", "1__0", ".",
+        "1e", "nan", "-inf", "1e400", "\u0661\u0662", " "])
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(ConfigurationError) as err:
+                load_csv(path)
+            assert str(err.value) == (f"{path}: non-numeric cell at row 2, "
+                                      f"column 2: {cell!r}")
+            return
+        if not np.isfinite(want):
+            with pytest.raises(NonFiniteInputError):
+                load_csv(path)
+            return
+        got = load_csv(path).X
+        assert got[1, 1].tobytes() == np.float64(want).tobytes()
+
+    def test_first_bad_cell_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n1,2\n3,4\n5,oops\nzap,6\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_csv(path, has_header=True)
+        assert str(err.value) == \
+            f"{path}: non-numeric cell at row 3, column 2: 'oops'"
+
+    def test_ragged_row_message(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n3,4\n5,zap,6\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: row 3 has 3 cells, expected 2"
+
+    def test_parse_matches_float_per_cell(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-300, 300, (300, 2))
+        lines = [f"{a!r},{b:.25g}" for a, b in X.tolist()]
+        lines += [f'"{a:.17e}", {b:.30g}' for a, b in X.tolist()]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        want = np.array([[float(c) for c in row]
+                         for row in csv.reader(lines)])
+        assert load_csv(path).X.tobytes() == want.tobytes()
 
 
 class TestStandardize:

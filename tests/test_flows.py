@@ -119,6 +119,21 @@ class TestMadeLayer:
         x, _ = layer.inverse(np.array([[0.5, 1.0, 1.5]]))
         np.testing.assert_allclose(x, [[1.0, 2.0, 3.0]], rtol=1e-14)
 
+    def test_inverse_bitwise_equal_to_all_pass_oracle(self):
+        rng = np.random.default_rng(21)
+        for dim in range(1, 6):
+            for _ in range(8):
+                layer = MadeLayer(dim, int(rng.integers(1, 20)),
+                                  s_max=float(rng.uniform(0.5, 6.0)), rng=rng)
+                # Non-zero heads and biases, masked entries included.
+                layer.set_param_tensors([rng.normal(0, 0.8, t.shape)
+                                         for t in layer.param_tensors()])
+                u = rng.normal(size=(int(rng.integers(1, 300)), dim))
+                x, logdet = layer.inverse(u)
+                x_want, logdet_want = made_inverse_oracle(layer, u)
+                assert x.tobytes() == x_want.tobytes()
+                assert logdet.tobytes() == logdet_want.tobytes()
+
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -206,7 +221,30 @@ class TestLogProb:
             assert integral == pytest.approx(1.0, abs=1e-3)
 
 
+def made_inverse_oracle(layer, u):
+    """Reference MADE inversion: one full trunk pass per coordinate plus a
+    final pass for the log-determinant (D+1 passes)."""
+    x = np.array(u, dtype=float)
+    for i in range(layer.dim):
+        mu, alpha, _ = layer._heads(x)
+        x[:, i] = u[:, i] * np.exp(alpha[:, i]) + mu[:, i]
+    mu, alpha, _ = layer._heads(x)
+    return x, alpha.sum(axis=1)
+
+
 class TestSampling:
+    def test_sample_bytes_match_oracle_stack(self):
+        rng = np.random.default_rng(22)
+        for seed in range(6):
+            model = random_model(rng)
+            z = model.base.sample(257, np.random.default_rng(seed))
+            for layer in reversed(model.layers):
+                if isinstance(layer, MadeLayer):
+                    z, _ = made_inverse_oracle(layer, z)
+                else:
+                    z, _ = layer.inverse(z)
+            assert model.sample(257, seed).tobytes() == z.tobytes()
+
     def test_identity_flow_mean(self):
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
         model.set_flat(np.zeros(model.n_params))
@@ -458,6 +496,26 @@ class TestLayout:
                      OptimizerState(), TrainConfig(learning_rate=0.1))
         assert not np.array_equal(clone.log_prob(pts), before)
         np.testing.assert_array_equal(model.log_prob(pts), before)
+
+    def test_set_flat_wrong_length_rejected(self):
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        before = model.get_flat()
+        for bad in (np.zeros(3), np.zeros(model.n_params + 1),
+                    np.zeros((1, model.n_params))):
+            with pytest.raises(ConfigurationError):
+                model.set_flat(bad)
+        np.testing.assert_array_equal(model.params, before)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_set_flat_non_finite_rejected(self, value):
+        rng = np.random.default_rng(23)
+        model = random_model(rng, dim=2)
+        before = model.get_flat()
+        flat = rng.normal(size=model.n_params)
+        flat[model.n_params // 2] = value
+        with pytest.raises(NonFiniteInputError):
+            model.set_flat(flat)
+        assert model.params.tobytes() == before.tobytes()
 
     def test_layout_covers_all_parameters(self):
         model = build_maf(3, n_blocks=2, hidden=8, actnorm=True, seed=0)
