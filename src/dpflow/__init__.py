@@ -7,9 +7,9 @@ from .accounting import (Accountant, exp_mech_binary, gaussian_mechanism,
                          gdp_eps_for_delta, gdp_mu, laplace_noise,
                          rdp_curve, rdp_subsampled_gaussian, rdp_to_dp,
                          steps_for_budget)
-from .anomaly import (EnsembleDetector, RocCurve, build_ensemble, dp_ad_query,
-                      gen_tail_anomalies, majority_label, partition_indices,
-                      roc, select_threshold, threshold_classify)
+from .anomaly import (EnsembleDetector, RocCurve, build_ensemble,
+                      gen_tail_anomalies, partition_indices, roc,
+                      select_threshold)
 from .data import (Dataset, dimwise_histogram, gen_gaussians8, gen_half_moons,
                    gen_pinwheel, knn_regress_mse, load_csv, make_cv_splits,
                    pca_project, save_csv, standardize, unstandardize)

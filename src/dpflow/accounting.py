@@ -217,17 +217,22 @@ def laplace_noise(value, scale: float, seed) -> np.ndarray:
     return value + rng.laplace(0.0, scale, size=value.shape)
 
 
-def exp_mech_binary(c: int, k: int, eps: float, seed) -> bool:
-    """Private binary vote aggregation.
+def exp_mech_binary(c, k: int, eps: float, seed):
+    """Private binary vote aggregation over one vote count or an array.
 
-    Returns True ("in-distribution") with probability
-    exp(eps c / 2) / (exp(eps c / 2) + exp(eps (k - c) / 2)), evaluated in the
-    numerically stable logistic form.
+    Each count c in [0, k] is labelled True ("in-distribution") with
+    probability exp(eps c / 2) / (exp(eps c / 2) + exp(eps (k - c) / 2)),
+    evaluated in the numerically stable logistic form. All labels come from
+    one generator, ``rng.random(np.shape(c)) < p_in``, so a scalar count
+    uses its first double. Returns a bool for a scalar count, else a bool
+    array shaped like ``c``.
     """
-    if not 0 <= c <= k:
-        raise ConfigurationError(f"vote count {c} outside [0, {k}]")
-    if eps < 0.0:
-        raise ConfigurationError("eps must be nonnegative")
-    p_in = float(expit(eps * (2.0 * c - k) / 2.0))
-    rng = np.random.default_rng(seed)
-    return bool(rng.random() < p_in)
+    c = np.asarray(c)
+    bad = c[(c < 0) | (c > k)]
+    if bad.size:
+        raise ConfigurationError(f"vote count {bad[0]} outside [0, {k}]")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ConfigurationError(f"eps must be finite and >= 0, got {eps}")
+    p_in = expit(eps * (2.0 * c - k) / 2.0)
+    labels = np.random.default_rng(seed).random(c.shape) < p_in
+    return labels if labels.ndim else bool(labels)

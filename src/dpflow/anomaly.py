@@ -1,9 +1,12 @@
 """Likelihood-threshold anomaly detection and the private voting ensemble.
 
 A single model classifies a point as in-distribution when its log-density
-exceeds a threshold. The private variant partitions the data, trains one
-non-private flow per part, counts threshold votes, and releases the label
-through the binary exponential mechanism.
+exceeds a threshold. The private variant partitions the data and trains one
+non-private flow per part (``build_ensemble``); ``EnsembleDetector`` fits
+one threshold on the member scores pooled over labelled queries and counts,
+per query row, the members that vote "in". The caller releases each label
+from those counts with the binary exponential mechanism
+(``accounting.exp_mech_binary``, vectorised over the counts).
 """
 
 from __future__ import annotations
@@ -12,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import exp_mech_binary
 from .errors import ConfigurationError
-from .flows import FlowModel, build_maf
+from .flows import build_maf
 from .training import train_flow
-
-
-def threshold_classify(model: FlowModel, x, threshold: float) -> bool:
-    """True (in-distribution) iff log p(x) strictly exceeds the threshold."""
-    return bool(model.log_prob(np.asarray(x, dtype=float)) > threshold)
 
 
 def select_threshold(scores, labels):
@@ -109,17 +106,24 @@ def gen_tail_anomalies(reference, count: int, seed=0,
 class EnsembleDetector:
     models: list
     threshold: float
-    query_epsilon: float = 1.0
 
     @property
     def k(self) -> int:
         return len(self.models)
 
-    def votes(self, x) -> int:
-        """Number of member models whose log-density at x exceeds the
-        threshold."""
-        x = np.asarray(x, dtype=float)
-        return sum(int(m.log_prob(x) > self.threshold) for m in self.models)
+    def fit_threshold(self, queries, labels) -> None:
+        """Set the threshold to the accuracy-maximizing cut for the member
+        scores of labelled queries, pooled over members (member-major, with
+        the labels tiled k times). Labels: 1 = in-distribution."""
+        scores = np.concatenate([m.log_prob(queries) for m in self.models])
+        self.threshold, _ = select_threshold(scores, np.tile(labels, self.k))
+
+    def votes(self, queries):
+        """Per query row, the number of members whose log-density strictly
+        exceeds the threshold: an int array for a batch (n, D), an integer
+        for one point (D,). One log_prob call per member."""
+        return np.sum([m.log_prob(queries) > self.threshold
+                       for m in self.models], axis=0)
 
 
 def partition_indices(n: int, k: int, seed=0):
@@ -155,17 +159,3 @@ def build_ensemble(X, k: int, threshold: float = 0.0, *, n_blocks: int = 5,
         models.append(model)
     return EnsembleDetector(models, threshold)
 
-
-def dp_ad_query(detector: EnsembleDetector, x, eps: float, seed) -> bool:
-    """Private in/out-of-distribution label for one query point."""
-    c = detector.votes(x)
-    return exp_mech_binary(c, detector.k, eps, seed)
-
-
-def majority_label(detector: EnsembleDetector, x, seed) -> bool:
-    """Non-private majority vote; an exact tie falls back to the fair coin
-    the exponential mechanism would use at infinite eps."""
-    c = detector.votes(x)
-    if 2 * c != detector.k:
-        return 2 * c > detector.k
-    return bool(np.random.default_rng(seed).random() < 0.5)

@@ -17,7 +17,7 @@ import numpy as np
 from . import anomaly as ad
 from . import data as dt
 from .accounting import Accountant, exp_mech_binary, gdp_mu
-from .errors import DpflowError
+from .errors import ConfigurationError, DpflowError
 from .flows import FlowModel, GmmBase, build_maf
 from .gmm import gmm_fit_em
 from .initialization import InitConfig, dp_nf_init
@@ -33,15 +33,26 @@ def _resolve(ctx: click.Context, *required: str) -> dict:
     params = dict(ctx.params)
     path = params.pop("config", None)
     if path:
-        with open(path) as fh:
-            doc = json.load(fh)
-        file_cfg = doc.get("config", doc)  # accept a manifest as a config
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+        # Accept a manifest as a config.
+        file_cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError(f"{path}: expected a JSON object")
+        options = {p.name: p for p in ctx.command.params}
         for name, value in file_cfg.items():
             if name not in params:
                 continue
             src = ctx.get_parameter_source(name)
             if src is not None and src.name != "COMMANDLINE":
-                params[name] = value
+                try:
+                    params[name] = options[name].type_cast_value(ctx, value)
+                except click.BadParameter as exc:
+                    raise ConfigurationError(
+                        f"{path}: {exc.format_message()}") from None
     for name in required:
         if params.get(name) is None:
             flag = name.replace("_", "-")
@@ -71,8 +82,16 @@ def _echo_json(obj):
     click.echo(json.dumps(obj))
 
 
-def _load_matrix(path, has_header):
-    return dt.load_csv(path, has_header=has_header)
+def _data_options(help_text=None):
+    def decorate(fn):
+        fn = click.option("--has-header", is_flag=True, default=False)(fn)
+        return click.option("--data", type=click.Path(exists=True),
+                            default=None, help=help_text)(fn)
+    return decorate
+
+
+_model_option = click.option("--model", "model_path",
+                             type=click.Path(exists=True), default=None)
 
 
 def _common_options(fn):
@@ -167,8 +186,7 @@ def gen_data(ctx, **_):
 
 
 @cli.command("train")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--standardize", "do_standardize", is_flag=True, default=False)
 @click.option("--holdout-frac", type=float, default=0.1, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
@@ -181,7 +199,7 @@ def gen_data(ctx, **_):
 def train(ctx, **_):
     """Train a flow privately on a CSV dataset (budget-gated)."""
     cfg = _resolve(ctx, "data", "out")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     if cfg["do_standardize"]:
         ds = dt.standardize(ds)
     X = ds.X
@@ -208,8 +226,7 @@ def train(ctx, **_):
 
 
 @cli.command("sample")
-@click.option("--model", "model_path", type=click.Path(exists=True),
-              default=None)
+@_model_option
 @click.option("--n", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @_common_options
@@ -224,10 +241,8 @@ def sample(ctx, **_):
 
 
 @cli.command("logprob")
-@click.option("--model", "model_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_model_option
+@_data_options()
 @click.option("--out", type=click.Path(), default=None)
 @_common_options
 @click.pass_context
@@ -235,7 +250,7 @@ def logprob(ctx, **_):
     """Per-row log-density of a dataset under a saved model."""
     cfg = _resolve(ctx, "model_path", "data")
     model = FlowModel.load(cfg["model_path"])
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     lp = model.log_prob(ds.X)
     if cfg["out"]:
         _write_rows(cfg["out"], ["log_prob"], lp[:, None])
@@ -244,8 +259,7 @@ def logprob(ctx, **_):
 
 
 @cli.command("eval-ll")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--standardize", "do_standardize", is_flag=True, default=False)
 @click.option("--folds", type=int, default=10, show_default=True)
 @_train_options
@@ -255,7 +269,7 @@ def eval_ll(ctx, **_):
     """Cross-validated mean test log-likelihood: train on each 90% split,
     score the held-out 10%."""
     cfg = _resolve(ctx, "data")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     splits = dt.make_cv_splits(ds.n, folds=cfg["folds"], seed=cfg["seed"])
     per_fold = []
     for fold, (tr, te) in enumerate(splits):
@@ -306,8 +320,7 @@ def accountant_cmd(ctx, **_):
 
 
 @cli.command("init")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--ctilde", type=float, default=20.0, show_default=True,
               help="Feature clip range width.")
@@ -321,7 +334,7 @@ def init_cmd(ctx, **_):
     """Build a flow with actnorm layers initialized from privatized
     feature statistics."""
     cfg = _resolve(ctx, "data", "out")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     model = build_maf(ds.dim, n_blocks=cfg["blocks"], hidden=cfg["hidden"],
                       actnorm=True, seed=cfg["seed"])
     config = InitConfig(clip_range=cfg["ctilde"], epsilon=cfg["epsilon"],
@@ -336,11 +349,8 @@ def init_cmd(ctx, **_):
 
 
 @cli.command("anomaly-roc")
-@click.option("--model", "model_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--data", type=click.Path(exists=True), default=None,
-              help="In-distribution test rows (CSV).")
-@click.option("--has-header", is_flag=True, default=False)
+@_model_option
+@_data_options(help_text="In-distribution test rows (CSV).")
 @click.option("--out", type=click.Path(), default=None,
               help="ROC points CSV (threshold, fpr, tpr).")
 @_common_options
@@ -349,7 +359,7 @@ def anomaly_roc(ctx, **_):
     """Likelihood-threshold ROC against generated tail anomalies."""
     cfg = _resolve(ctx, "model_path", "data", "out")
     model = FlowModel.load(cfg["model_path"])
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     anomalies = ad.gen_tail_anomalies(ds.X, ds.n, seed=cfg["seed"])
     scores = np.concatenate([model.log_prob(ds.X), model.log_prob(anomalies)])
     labels = np.concatenate([np.ones(ds.n, dtype=int),
@@ -364,8 +374,7 @@ def anomaly_roc(ctx, **_):
 
 
 @cli.command("dp-ad")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--k", type=int, default=10, show_default=True)
 @click.option("--eps", "eps_grid", type=str, default="0.1,0.5,1,2,5",
               show_default=True, help="Comma-separated per-query budgets.")
@@ -381,34 +390,30 @@ def dp_ad(ctx, **_):
     """Ensemble anomaly detection accuracy as a function of the per-query
     privacy budget."""
     cfg = _resolve(ctx, "data", "out")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    try:
+        grid = [float(token) for token in cfg["eps_grid"].split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--eps: {exc}") from None
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     rng = np.random.default_rng(cfg["seed"])
     n_test = int(round(cfg["test_frac"] * ds.n))
     perm = rng.permutation(ds.n)
     test_X, train_X = ds.X[perm[:n_test]], ds.X[perm[n_test:]]
     anomalies = ad.gen_tail_anomalies(test_X, n_test, seed=cfg["seed"])
     queries = np.vstack([test_X, anomalies])
-    labels = np.concatenate([np.ones(n_test, dtype=int),
-                             np.zeros(n_test, dtype=int)])
+    labels = np.repeat([True, False], n_test)
 
     detector = ad.build_ensemble(train_X, cfg["k"], n_blocks=cfg["blocks"],
                                  hidden=cfg["hidden"],
                                  train_steps=cfg["train_steps"],
                                  seed=cfg["seed"])
-    member_scores = np.stack([m.log_prob(queries) for m in detector.models])
-    pooled = member_scores.ravel()
-    pooled_labels = np.tile(labels, cfg["k"])
-    detector.threshold, _ = ad.select_threshold(pooled, pooled_labels)
-
-    votes = (member_scores > detector.threshold).sum(axis=0)
-    seq = np.random.SeedSequence(cfg["seed"])
+    detector.fit_threshold(queries, labels)
+    votes = detector.votes(queries)
+    children = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
-    for eps in [float(v) for v in cfg["eps_grid"].split(",")]:
-        correct = 0
-        for c, label, child in zip(votes, labels, seq.spawn(len(votes))):
-            predicted = exp_mech_binary(int(c), detector.k, eps, child)
-            correct += int(predicted == bool(label))
-        rows.append([eps, correct / len(labels)])
+    for eps, child in zip(grid, children):
+        released = exp_mech_binary(votes, detector.k, eps, child)
+        rows.append([eps, float(np.mean(released == labels))])
     _write_rows(cfg["out"], ["eps", "accuracy"], rows)
     _write_manifest("dp-ad", cfg, {
         "threshold": detector.threshold,
@@ -418,8 +423,7 @@ def dp_ad(ctx, **_):
 
 
 @cli.command("downstream-knn")
-@click.option("--model", "model_path", type=click.Path(exists=True),
-              default=None)
+@_model_option
 @click.option("--train", "train_path", type=click.Path(exists=True),
               default=None, help="Real training rows (last column = target).")
 @click.option("--test", "test_path", type=click.Path(exists=True),
@@ -433,8 +437,8 @@ def downstream_knn(ctx, **_):
     the real training data (baseline)."""
     cfg = _resolve(ctx, "model_path", "train_path", "test_path")
     model = FlowModel.load(cfg["model_path"])
-    train_ds = _load_matrix(cfg["train_path"], cfg["has_header"])
-    test_ds = _load_matrix(cfg["test_path"], cfg["has_header"])
+    train_ds = dt.load_csv(cfg["train_path"], has_header=cfg["has_header"])
+    test_ds = dt.load_csv(cfg["test_path"], has_header=cfg["has_header"])
     synth = dt.Dataset(model.sample(train_ds.n, cfg["seed"]))
     baseline = dt.knn_regress_mse(train_ds, test_ds, k=cfg["k"])
     synthetic = dt.knn_regress_mse(synth, test_ds, k=cfg["k"])
@@ -444,8 +448,7 @@ def downstream_knn(ctx, **_):
 
 
 @cli.command("project-pca")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--components", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_common_options
@@ -453,7 +456,7 @@ def downstream_knn(ctx, **_):
 def project_pca(ctx, **_):
     """Project a dataset onto its top principal components (CSV out)."""
     cfg = _resolve(ctx, "data", "out")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     projected, comps = dt.pca_project(ds, components=cfg["components"])
     _write_rows(cfg["out"],
                 [f"pc{i + 1}" for i in range(cfg["components"])],
@@ -463,8 +466,7 @@ def project_pca(ctx, **_):
 
 
 @cli.command("hist")
-@click.option("--data", type=click.Path(exists=True), default=None)
-@click.option("--has-header", is_flag=True, default=False)
+@_data_options()
 @click.option("--bins", type=int, default=50, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_common_options
@@ -472,7 +474,7 @@ def project_pca(ctx, **_):
 def hist(ctx, **_):
     """Dimension-wise histogram table: (dim, bin_left, bin_right, count)."""
     cfg = _resolve(ctx, "data", "out")
-    ds = _load_matrix(cfg["data"], cfg["has_header"])
+    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     rows = []
     for j, (edges, counts) in enumerate(dt.dimwise_histogram(ds, cfg["bins"])):
         for b in range(len(counts)):

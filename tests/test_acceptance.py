@@ -14,8 +14,7 @@ import pytest
 
 import dpflow
 from dpflow import accounting as acc
-from dpflow.anomaly import (build_ensemble, gen_tail_anomalies,
-                            majority_label, select_threshold, roc)
+from dpflow.anomaly import build_ensemble, gen_tail_anomalies, roc
 from dpflow.data import (Dataset, gen_half_moons, gen_pinwheel,
                          knn_regress_mse, pca_project, standardize)
 from dpflow.flows import ActNormLayer, GmmBase, build_maf
@@ -23,7 +22,7 @@ from dpflow.gmm import gmm_fit_em
 from dpflow.training import TrainConfig, train_dp_nf
 
 from test_accounting import rdp_oracle
-from test_anomaly import auc_pair_counting
+from test_anomaly import auc_pair_counting, majority_oracle
 from test_data import knn_oracle
 
 
@@ -261,12 +260,8 @@ def test_criterion_7_dp_ad_behavior():
         detector = build_ensemble(train, 10, n_blocks=5, hidden=32,
                                   train_steps=1200, batch_size=128,
                                   learning_rate=1e-3, seed=403)
-        member_scores = np.stack([m.log_prob(queries)
-                                  for m in detector.models])
-        threshold, _ = select_threshold(member_scores.ravel(),
-                                        np.tile(labels, 10).astype(int))
-        detector.threshold = threshold
-        votes = (member_scores > threshold).sum(axis=0)
+        detector.fit_threshold(queries, labels)
+        votes = detector.votes(queries)
 
         # (a) frequencies at fixed votes match the formula within 3 sigma
         fixed_c = int(votes[np.argmin(np.abs(votes - 7))])
@@ -281,13 +276,8 @@ def test_criterion_7_dp_ad_behavior():
 
         # (b) at eps=1e6 the private label equals majority voting (with the
         # mechanism's own fair coin at exact ties), so accuracies match
-        seq = np.random.SeedSequence(405).spawn(len(queries))
-        private, majority = [], []
-        for c, x, child in zip(votes, queries, seq):
-            private.append(acc.exp_mech_binary(int(c), 10, 1e6, child))
-            majority.append(majority_label(detector, x, child))
-        private = np.array(private)
-        majority = np.array(majority)
+        private = acc.exp_mech_binary(votes, 10, 1e6, 405)
+        majority = majority_oracle(votes, 10, 405)
         np.testing.assert_array_equal(private, majority)
         acc_private = float(np.mean(private == labels))
         acc_majority = float(np.mean(majority == labels))

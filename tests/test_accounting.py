@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dpflow import accounting as acc
 from dpflow.errors import (ConfigurationError, DpflowError,
@@ -289,3 +290,42 @@ class TestExpMechBinary:
     def test_vote_count_out_of_range(self):
         with pytest.raises(ConfigurationError):
             acc.exp_mech_binary(11, 10, 1.0, seed=0)
+
+    def test_array_equals_one_generator_draw(self):
+        rng = np.random.default_rng(22)
+        for trial in range(10):
+            k = int(rng.integers(1, 20))
+            votes = rng.integers(0, k + 1, size=int(rng.integers(1, 500)))
+            eps = float(rng.uniform(0.0, 5.0))
+            got = acc.exp_mech_binary(votes, k, eps, seed=trial)
+            p_in = expit(eps * (2.0 * votes - k) / 2.0)
+            want = np.random.default_rng(trial).random(votes.size) < p_in
+            assert got.dtype == bool and got.shape == votes.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_scalar_draw_is_first_of_array(self):
+        for s in range(200):
+            scalar = acc.exp_mech_binary(5, 10, 0.0, seed=s)
+            assert type(scalar) is bool
+            assert scalar == acc.exp_mech_binary(np.full(3, 5), 10, 0.0,
+                                                 seed=s)[0]
+
+    def test_array_frequencies_per_count(self):
+        k, eps, n = 10, 0.7, 4000
+        votes = np.repeat(np.arange(k + 1), n)
+        draws = acc.exp_mech_binary(votes, k, eps, seed=23)
+        for c in range(k + 1):
+            p = 1 / (1 + math.exp(-eps * (2 * c - k) / 2))
+            freq = np.mean(draws[votes == c])
+            assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n) + 1e-12
+
+    def test_array_vote_count_out_of_range(self):
+        with pytest.raises(ConfigurationError, match="-1"):
+            acc.exp_mech_binary(np.array([3, -1, 4]), 10, 1.0, seed=0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ConfigurationError):
+            acc.exp_mech_binary(5, 10, eps, seed=0)
+        with pytest.raises(ConfigurationError):
+            acc.exp_mech_binary(np.array([5, 7]), 10, eps, seed=0)

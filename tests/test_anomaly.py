@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpflow.anomaly import (EnsembleDetector, build_ensemble, dp_ad_query,
-                            gen_tail_anomalies, majority_label,
-                            partition_indices, roc, select_threshold,
-                            threshold_classify)
+from dpflow.accounting import exp_mech_binary
+from dpflow.anomaly import (EnsembleDetector, build_ensemble,
+                            gen_tail_anomalies, partition_indices, roc,
+                            select_threshold)
 from dpflow.errors import ConfigurationError
 from dpflow.flows import build_maf
 
@@ -19,17 +19,89 @@ def identity_model(dim=2):
     return model
 
 
+def votes_oracle(models, queries, threshold):
+    """Per-point vote counts: one single-row log_prob call per member and
+    query, with the strict rule log p(x) > threshold."""
+    return np.array([sum(int(m.log_prob(x) > threshold) for m in models)
+                     for x in queries])
+
+
+def majority_oracle(votes, k, seed):
+    """Non-private majority label per vote count. An exact tie takes the
+    fair coin the exponential mechanism draws at that position of its
+    stream (rng.random() < 0.5), so it equals the mechanism at huge eps."""
+    votes = np.asarray(votes)
+    coin = np.random.default_rng(seed).random(votes.shape) < 0.5
+    return np.where(2 * votes == k, coin, 2 * votes > k)
+
+
 class TestThresholdClassify:
+    """The single-model rule "in iff log p(x) > T", as a one-member vote."""
+
     def test_infinite_thresholds(self):
         model = identity_model()
         x = np.array([0.3, -0.4])
-        assert threshold_classify(model, x, -np.inf)
-        assert not threshold_classify(model, x, np.inf)
+        assert EnsembleDetector([model], -np.inf).votes(x) == 1
+        assert EnsembleDetector([model], np.inf).votes(x) == 0
 
     def test_identity_flow_origin(self):
         # log p(0) = -log(2 pi) ~ -1.8379 > -2
-        assert threshold_classify(identity_model(), np.zeros(2), -2.0)
-        assert not threshold_classify(identity_model(), np.zeros(2), -1.5)
+        assert EnsembleDetector([identity_model()], -2.0).votes(
+            np.zeros(2)) == 1
+        assert EnsembleDetector([identity_model()], -1.5).votes(
+            np.zeros(2)) == 0
+
+
+def random_members(k, seed):
+    members = []
+    for i in range(k):
+        model = build_maf(2, n_blocks=2, hidden=8, seed=seed + i)
+        rng = np.random.default_rng(seed + i)
+        model.set_flat(0.3 * rng.normal(size=model.n_params))
+        members.append(model)
+    return members
+
+
+class TestEnsembleVotes:
+    def test_batch_matches_per_point_oracle(self):
+        rng = np.random.default_rng(13)
+        members = random_members(5, seed=20) + [identity_model()]
+        queries = rng.normal(size=(200, 2)) * 1.5
+        scores = np.stack([m.log_prob(queries) for m in members])
+        # Thresholds sitting exactly on member scores: those members vote
+        # "out" for that row, since the rule is a strict ">".
+        for t in [scores[0, 0], scores[5, 7], np.median(scores), -np.inf,
+                  np.inf]:
+            det = EnsembleDetector(members, float(t))
+            votes = det.votes(queries)
+            assert votes.shape == (200,)
+            np.testing.assert_array_equal(
+                votes, votes_oracle(members, queries, t))
+        det = EnsembleDetector(members, float(scores[0, 0]))
+        assert det.votes(queries)[0] == np.sum(scores[:, 0] > scores[0, 0])
+        assert det.votes(queries[0]) == det.votes(queries)[0]
+
+    def test_ties_at_identity_flow_scores(self):
+        # The identity flow scores exactly: log p(x) = -log(2 pi) - |x|^2/2.
+        queries = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [2.0, 0.0]])
+        t = -math.log(2 * math.pi) - 0.5
+        members = [identity_model() for _ in range(3)]
+        assert members[0].log_prob(queries[1]) == t  # an exact tie
+        votes = EnsembleDetector(members, t).votes(queries)
+        np.testing.assert_array_equal(votes, [3, 0, 0, 0])
+        np.testing.assert_array_equal(votes,
+                                      votes_oracle(members, queries, t))
+
+    def test_fit_threshold_pools_member_scores(self):
+        rng = np.random.default_rng(14)
+        members = random_members(4, seed=30)
+        queries = rng.normal(size=(60, 2))
+        labels = np.repeat([1, 0], 30)
+        det = EnsembleDetector(members, 0.0)
+        det.fit_threshold(queries, labels)
+        pooled = np.stack([m.log_prob(queries) for m in members]).ravel()
+        want, _ = select_threshold(pooled, np.tile(labels, 4))
+        assert det.threshold == want
 
 
 def threshold_oracle(scores, labels):
@@ -240,16 +312,19 @@ class TestDpAdQuery:
         det = self.detector()
         x = np.zeros(2)  # log p ~ -1.84 > -2 for every member
         assert det.votes(x) == 10
-        assert all(dp_ad_query(det, x, 1e6, seed=s) for s in range(100))
+        assert all(exp_mech_binary(det.votes(x), det.k, 1e6, seed=s)
+                   for s in range(100))
+        assert exp_mech_binary(det.votes(np.zeros((100, 2))), det.k, 1e6,
+                               seed=0).all()
 
     def test_eps_zero_fair_coin(self):
         det = self.detector()
-        draws = [dp_ad_query(det, np.zeros(2), 0.0, seed=s)
-                 for s in range(10_000)]
+        votes = det.votes(np.zeros((10_000, 2)))
+        draws = exp_mech_binary(votes, det.k, 0.0, seed=0)
+        assert draws.shape == (10_000,)
         assert np.mean(draws) == pytest.approx(0.5, abs=0.015)
 
     def test_fixed_votes_frequency(self):
-        from dpflow.accounting import exp_mech_binary
         p = 1 / (1 + math.exp(-2))  # c=7, k=10, eps=1
         assert p == pytest.approx(0.8808, abs=1e-4)
         n = 10_000
@@ -260,10 +335,18 @@ class TestDpAdQuery:
     def test_huge_eps_matches_majority_label(self):
         det = self.detector()
         rng = np.random.default_rng(10)
+        queries = rng.normal(size=(50, 2)) * 2
+        votes = det.votes(queries)
         for s in range(50):
-            x = rng.normal(size=2) * 2
-            assert dp_ad_query(det, x, 1e6, seed=s) \
-                == majority_label(det, x, seed=s)
+            np.testing.assert_array_equal(
+                exp_mech_binary(votes, det.k, 1e6, seed=s),
+                majority_oracle(votes, det.k, seed=s))
+        # Exact ties take the mechanism's own fair coin.
+        ties = np.array([0, 5, 5, 10, 5, 4, 6, 5])
+        for s in range(50):
+            np.testing.assert_array_equal(
+                exp_mech_binary(ties, 10, 1e6, seed=s),
+                majority_oracle(ties, 10, seed=s))
 
 
 class TestBuildEnsemble:
@@ -281,10 +364,11 @@ class TestBuildEnsemble:
         X = rng.normal(size=(200, 2))
         det = build_ensemble(X, 1, threshold=-3.0, n_blocks=1, hidden=8,
                              train_steps=10, seed=1)
+        queries = rng.normal(size=(20, 2))
+        want = [det.models[0].log_prob(x) > -3.0 for x in queries]
         for s in range(20):
-            x = rng.normal(size=2)
-            want = threshold_classify(det.models[0], x, -3.0)
-            assert dp_ad_query(det, x, 1e6, seed=s) == want
+            np.testing.assert_array_equal(
+                exp_mech_binary(det.votes(queries), 1, 1e6, seed=s), want)
 
     def test_insufficient_data(self):
         with pytest.raises(ConfigurationError):

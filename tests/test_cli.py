@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from dpflow import anomaly as ad
 from dpflow import data as dt
 from dpflow.accounting import Accountant, gdp_mu
-from dpflow.cli import cli
+from dpflow.cli import cli, main
 from dpflow.flows import FlowModel
 from test_data import csv_writer_oracle
 
@@ -196,6 +196,53 @@ def test_dp_ad_sweep(runner, small_data, tmp_path):
     assert len(rows) == 3
     accs = [float(r[1]) for r in rows[1:]]
     assert all(0.0 <= a <= 1.0 for a in accs)
+
+    # The same seed gives the same bytes.
+    again = tmp_path / "again.csv"
+    result = runner.invoke(cli, [
+        "dp-ad", "--data", str(small_data), "--k", "2", "--eps", "0.1,100",
+        "--train-steps", "10", "--hidden", "4", "--blocks", "1",
+        "--out", str(again), "--seed", "6"])
+    assert result.exit_code == 0, result.output
+    assert again.read_bytes() == out.read_bytes()
+
+
+def run_main(argv, capsys):
+    """Exit code and stderr of the ``dpflow`` entry point."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps, token", [("0.1,abc", "'abc'"),
+                                        ("0.1,nan", "nan"),
+                                        ("inf", "inf")])
+def test_dp_ad_bad_eps_grid(small_data, tmp_path, capsys, eps, token):
+    out = tmp_path / "sweep.csv"
+    code, err = run_main([
+        "dp-ad", "--data", str(small_data), "--k", "2", "--eps", eps,
+        "--train-steps", "2", "--hidden", "4", "--blocks", "1",
+        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and token in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"shape": "half-moons", "n": 10,',
+    '[{"shape": "half-moons", "n": 10}]',
+    '{"shape": "half-moons", "n": "abc"}',
+    '{"shape": "cubes", "n": 10}',
+], ids=["invalid_json", "top_level_list", "bad_int", "bad_choice"])
+def test_bad_config_file_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "rows.csv"
+    code, err = run_main(["gen-data", "--config", str(cfg),
+                          "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and str(cfg) in err
+    assert not out.exists()
 
 
 def test_downstream_knn(runner, small_data, tmp_path):
