@@ -27,45 +27,51 @@ from .errors import ConfigurationError, NumericalOverflowError
 DEFAULT_ORDERS = tuple(range(2, 257))
 
 
-def _log_binom(n: int, k: int) -> float:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def rdp_subsampled_gaussian(alpha: int, q: float, sigma: float) -> float:
-    """Per-step RDP of order ``alpha`` for a Gaussian mechanism applied to a
-    uniform without-replacement subsample with sampling ratio ``q``.
+def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
+    """Per-step RDP at each integer order alpha >= 2 of a Gaussian mechanism
+    applied to a uniform without-replacement subsample with sampling ratio
+    ``q``; composition over t steps is t times this curve, pointwise.
 
     The base mechanism has RDP curve eps(j) = j / (2 sigma^2); the subsampling
-    bound is a binomial series in q, evaluated in log space so large orders do
-    not overflow.
+    bound is a binomial series in q over j = 0..alpha. All orders are
+    evaluated at once: one (orders x j) matrix of log-terms (-inf where
+    j == 1 or j > alpha) and one log-sum-exp along j, so large orders do not
+    overflow.
     """
-    if alpha < 2 or int(alpha) != alpha:
-        raise ConfigurationError(f"order must be an integer >= 2, got {alpha}")
+    alphas = np.asarray(orders, dtype=float).ravel()
+    if alphas.size == 0:
+        raise ConfigurationError("empty order grid")
+    bad = alphas[~((alphas >= 2) & (alphas == np.floor(alphas)))]
+    if bad.size:
+        raise ConfigurationError(
+            f"order must be an integer >= 2, got {bad[0]:g}")
     if not 0.0 < q <= 1.0:
         raise ConfigurationError(f"sampling ratio must be in (0, 1], got {q}")
     if sigma <= 0.0:
         raise ConfigurationError(f"noise multiplier must be positive, got {sigma}")
 
-    alpha = int(alpha)
     inv = 1.0 / (sigma * sigma)  # eps(2) of the base mechanism
     log_q = math.log(q)
-
+    a = alphas[:, None]
+    j = np.arange(int(alphas.max()) + 1, dtype=float)[None, :]
+    # gammaln is +inf at the non-positive integers, so log C(alpha, j) and
+    # every term with j > alpha are -inf.
+    log_binom = gammaln(a + 1) - gammaln(j + 1) - gammaln(a - j + 1)
+    # j >= 3 terms: q^j C(alpha,j) e^{(j-1) eps(j)} * 2.
+    terms = j * log_q + log_binom + (j - 1) * j * inv / 2.0 + math.log(2.0)
     # j = 2 term: q^2 C(alpha,2) min{4(e^eps2 - 1), 2 e^eps2}.
     # log(4(e^x - 1)) = log 4 + x + log1p(-e^-x) is stable for all x > 0.
     log_b2 = min(math.log(4.0) + inv + math.log1p(-math.exp(-inv)),
                  math.log(2.0) + inv)
-    terms = [0.0, 2.0 * log_q + _log_binom(alpha, 2) + log_b2]
-    # j >= 3 terms: q^j C(alpha,j) e^{(j-1) eps(j)} * 2.
-    for j in range(3, alpha + 1):
-        terms.append(j * log_q + _log_binom(alpha, j)
-                     + (j - 1) * j * inv / 2.0 + math.log(2.0))
-    return float(logsumexp(terms)) / (alpha - 1)
+    terms[:, 2] = 2.0 * log_q + log_binom[:, 2] + log_b2
+    terms[:, 0] = 0.0
+    terms[:, 1] = -np.inf
+    return logsumexp(terms, axis=1) / (alphas - 1.0)
 
 
-def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
-    """Per-step RDP values at each order; composition over t steps is t times
-    this curve, pointwise."""
-    return np.array([rdp_subsampled_gaussian(a, q, sigma) for a in orders])
+def rdp_subsampled_gaussian(alpha: int, q: float, sigma: float) -> float:
+    """``rdp_curve`` at the single order ``alpha``."""
+    return float(rdp_curve(q, sigma, (alpha,))[0])
 
 
 def rdp_to_dp(orders, curve, delta: float) -> float:

@@ -24,6 +24,22 @@ from .initialization import InitConfig, dp_nf_init
 from .training import TrainConfig, train_dp_nf
 
 
+def _check_json_type(path, option, value):
+    """Click's INT and FLOAT types would cast a JSON number or bool from a
+    config file (``10.7`` to 10, ``true`` to 1); an int option accepts
+    neither a JSON float nor a bool, and a float option no bool."""
+    if isinstance(option.type, click.types.IntParamType):
+        bad = isinstance(value, (bool, float))
+    elif isinstance(option.type, click.types.FloatParamType):
+        bad = isinstance(value, bool)
+    else:
+        return
+    if bad:
+        raise ConfigurationError(
+            f"{path}: {option.name}: expected {option.type.name}, "
+            f"got {json.dumps(value)}")
+
+
 def _resolve(ctx: click.Context, *required: str) -> dict:
     """Merge an optional JSON config file under explicit command-line flags.
 
@@ -48,6 +64,7 @@ def _resolve(ctx: click.Context, *required: str) -> dict:
                 continue
             src = ctx.get_parameter_source(name)
             if src is not None and src.name != "COMMANDLINE":
+                _check_json_type(path, options[name], value)
                 try:
                     params[name] = options[name].type_cast_value(ctx, value)
                 except click.BadParameter as exc:

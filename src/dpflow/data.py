@@ -82,11 +82,16 @@ def write_rows(fh, header, rows):
     """Write a CSV table to an open text file: the header row (if any) with
     csv quoting, then one line per row, each cell the ``repr`` of a Python
     int or float (for a float, the shortest text that reads back exactly).
-    ``rows`` is a 2-D float array or a list of rows of Python numbers."""
+    ``rows`` is a 2-D float array, formatted in one ``%`` operation over its
+    flattened cells, or a list of rows of Python numbers."""
     if header is not None:
         csv.writer(fh, lineterminator="\n").writerow(header)
     if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
+        # One %-format over all cells; %r is repr, so the text is the same.
+        n, d = rows.shape
+        line = ",".join(["%r"] * d) + "\n"
+        fh.write(line * n % tuple(rows.ravel().tolist()))
+        return
     fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 

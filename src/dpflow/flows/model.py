@@ -1,7 +1,8 @@
 """Flow model: an ordered layer stack over a base density.
 
 Exact log-density via the change of variables, seeded sampling through the
-layer inverses, and the clipped sum of per-example parameter gradients by
+layer inverses (both pass large batches through the stack in fixed row
+blocks, ``push_rows``), and the clipped sum of per-example parameter gradients by
 reverse-mode accumulation. All trainable scalars live in one flat float64
 buffer, ``FlowModel.params``, in a canonical layout (layer order, weights
 before biases within a layer, row-major); each layer tensor is a view into
@@ -21,6 +22,10 @@ from .bases import SphericalGaussian, base_from_descriptor
 from .layers import LAYER_TYPES, ActNormLayer, MadeLayer, ReversalLayer
 
 FORMAT_VERSION = 1
+
+# Rows per block in ``push_rows``: one (rows, H) float64 temporary is 1 MiB
+# at H = 64.
+BLOCK_ROWS = 2048
 
 
 def _finite_float(text: str) -> float:
@@ -108,16 +113,12 @@ class FlowModel:
         return pts, single
 
     def log_prob(self, x):
-        """Exact log-density; accepts one point (D,) or a batch (n, D)."""
+        """Exact log-density; accepts one point (D,) or a batch (n, D). A
+        non-finite value after layer i raises NumericalOverflowError with
+        ``layer_index`` i (the first such layer in the first block of rows
+        where one occurs)."""
         pts, single = self._check_input(x)
-        z = pts
-        total = np.zeros(pts.shape[0])
-        for i, layer in enumerate(self.layers):
-            z, ld = layer.forward(z)
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(ld))):
-                raise NumericalOverflowError(
-                    f"non-finite values after layer {i}", layer_index=i)
-            total += ld
+        z, total = push_rows(self.layers, pts, check=True)
         out = self.base.log_prob(z) + total
         return float(out[0]) if single else out
 
@@ -126,18 +127,17 @@ class FlowModel:
         enters log_prob). Useful for fitting a data-dependent base: at the
         identity initialization this is exactly the stack's net permutation."""
         pts, single = self._check_input(x)
-        z = pts
-        for layer in self.layers:
-            z, _ = layer.forward(z)
+        z, _ = push_rows(self.layers, pts)
         return z[0] if single else z
 
     def sample(self, n: int, seed) -> np.ndarray:
+        """n draws: all n base points from one generator, then the layer
+        inverses in reverse order. ``n < 1`` raises ConfigurationError."""
         if n < 1:
-            raise NonFiniteInputError("n must be >= 1")
+            raise ConfigurationError("n must be >= 1")
         rng = np.random.default_rng(seed)
-        z = self.base.sample(n, rng)
-        for layer in reversed(self.layers):
-            z, _ = layer.inverse(z)
+        z, _ = push_rows(self.layers[::-1], self.base.sample(n, rng),
+                         inverse=True)
         return z
 
     def nll(self, batch) -> float:
@@ -229,6 +229,31 @@ class FlowModel:
     def load(cls, path) -> "FlowModel":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def push_rows(layers, x, inverse=False, check=False):
+    """Push the rows of x through ``layers`` in order, with each layer's
+    ``forward`` (or ``inverse``), in blocks of at most BLOCK_ROWS rows, so
+    the layers' per-row temporaries stay bounded whatever the batch size.
+
+    Returns (image (n, D), summed per-row log-determinants (n,)). With
+    ``check``, a non-finite image or log-determinant after layer i raises
+    NumericalOverflowError with ``layer_index`` i.
+    """
+    out = np.empty(x.shape)
+    total = np.zeros(x.shape[0])
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        z = x[start:start + BLOCK_ROWS]
+        block_total = total[start:start + BLOCK_ROWS]
+        for i, layer in enumerate(layers):
+            z, ld = layer.inverse(z) if inverse else layer.forward(z)
+            if check and not (np.all(np.isfinite(z))
+                              and np.all(np.isfinite(ld))):
+                raise NumericalOverflowError(
+                    f"non-finite values after layer {i}", layer_index=i)
+            block_total += ld
+        out[start:start + BLOCK_ROWS] = z
+    return out, total
 
 
 def build_maf(dim: int, n_blocks: int = 5, hidden: int = 64,

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError
 
@@ -46,12 +45,45 @@ class GmmParams:
         return self.means.shape[1]
 
 
-def _component_logpdf(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log-densities, shape (n, M)."""
-    diff = x[:, None, :] - gmm.means[None, :, :]          # (n, M, D)
-    quad = np.sum(diff * diff / gmm.variances[None], axis=2)
-    norm = np.sum(np.log(gmm.variances), axis=1) + gmm.dim * math.log(2 * math.pi)
-    return -0.5 * (quad + norm[None, :])
+def _log_joint(weights, means, variances, x) -> np.ndarray:
+    """log pi_m + log N(x_n; mean_m, diag var_m), shape (M, n).
+
+    Component-major and built one coordinate at a time on (M, n) rows, so no
+    (n, M, D) temporary exists.
+    """
+    m, d = means.shape
+    quad = np.zeros((m, x.shape[0]))
+    diff = np.empty_like(quad)
+    for k in range(d):
+        np.subtract(x[:, k], means[:, k, None], out=diff)
+        diff *= diff
+        diff /= variances[:, k, None]
+        quad += diff
+    norm = np.sum(np.log(variances), axis=1) + d * math.log(2 * math.pi)
+    quad += norm[:, None]
+    quad *= -0.5
+    quad += np.log(weights)[:, None]
+    return quad
+
+
+def _logsumexp_components(log_joint) -> np.ndarray:
+    """log sum_m exp(log_joint[m, n]) for each n, shifted by the column
+    maximum. A column whose entries are all -inf gives -inf."""
+    top = log_joint.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    shifted = log_joint - top
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        return np.log(shifted.sum(axis=0)) + top
+
+
+def _responsibilities(weights, means, variances, x):
+    """Posterior component probabilities (M, n) and the log-density (n,)."""
+    resp = _log_joint(weights, means, variances, x)
+    log_norm = _logsumexp_components(resp)
+    resp -= log_norm
+    np.exp(resp, out=resp)
+    return resp, log_norm
 
 
 def gmm_logpdf(gmm: GmmParams, x) -> np.ndarray:
@@ -62,18 +94,24 @@ def gmm_logpdf(gmm: GmmParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    log_joint = _component_logpdf(gmm, pts) + np.log(gmm.weights)[None, :]
-    out = logsumexp(log_joint, axis=1)
+    out = _logsumexp_components(
+        _log_joint(gmm.weights, gmm.means, gmm.variances, pts))
     return float(out[0]) if single else out
 
 
 def gmm_logpdf_grad(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the mixture log-density with respect to x, shape (n, D)."""
+    """Gradient of the mixture log-density with respect to x, shape (n, D):
+    sum_m r_mn (mean_m - x_n) / var_m, one coordinate at a time."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    log_joint = _component_logpdf(gmm, pts) + np.log(gmm.weights)[None, :]
-    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
-    grads = -(pts[:, None, :] - gmm.means[None]) / gmm.variances[None]
-    return np.sum(resp[:, :, None] * grads, axis=1)
+    resp, _ = _responsibilities(gmm.weights, gmm.means, gmm.variances, pts)
+    grad = np.empty(pts.shape)
+    diff = np.empty_like(resp)
+    for k in range(pts.shape[1]):
+        np.subtract(gmm.means[:, k, None], pts[:, k], out=diff)
+        diff /= gmm.variances[:, k, None]
+        diff *= resp
+        grad[:, k] = diff.sum(axis=0)
+    return grad
 
 
 def gmm_sample(gmm: GmmParams, n: int, seed) -> np.ndarray:
@@ -104,10 +142,18 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0,
 
     Returns (GmmParams, per-iteration mean log-likelihoods). The likelihood
     trace is nondecreasing except when the variance floor or an empty-cluster
-    reseed intervenes.
+    reseed intervenes. Both steps work on component-major (M, n) arrays; the
+    M-step variances are sum_n r_mn (x_nd - mean_md)^2 / sum_n r_mn, one
+    coordinate at a time. ``n_components < 1`` or ``n_iters < 0`` raises
+    ConfigurationError.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
+    if n_components < 1:
+        raise ConfigurationError(
+            f"need at least one component, got {n_components}")
+    if n_iters < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {n_iters}")
     if n <= n_components:
         raise ConfigurationError("need more points than components")
     rng = np.random.default_rng(seed)
@@ -119,21 +165,21 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0,
 
     ll_trace = []
     for _ in range(n_iters):
-        gmm = GmmParams(weights, means, variances)
-        log_joint = _component_logpdf(gmm, X) + np.log(weights)[None, :]
-        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        resp, log_norm = _responsibilities(weights, means, variances, X)
         ll_trace.append(float(np.mean(log_norm)))
-        resp = np.exp(log_joint - log_norm)                # (n, M)
 
-        counts = resp.sum(axis=0)
+        counts = resp.sum(axis=1)
         empty = counts < 1e-10
         nonempty = ~empty
-        r = resp[:, nonempty]
-        c = counts[nonempty][:, None]
-        means[nonempty] = (r.T @ X) / c
-        diff2 = (X[:, None, :] - means[None, nonempty, :]) ** 2
-        variances[nonempty] = np.maximum(
-            np.einsum("nm,nmd->md", r, diff2) / c, variance_floor)
+        r = resp[nonempty]
+        c = counts[nonempty]
+        means[nonempty] = (r @ X) / c[:, None]
+        rows = np.empty_like(r)
+        for k in range(d):
+            np.subtract(X[:, k], means[nonempty, k, None], out=rows)
+            rows *= rows
+            variances[nonempty, k] = np.maximum(
+                np.einsum("mn,mn->m", r, rows) / c, variance_floor)
         for m_idx in np.flatnonzero(empty):
             means[m_idx] = X[rng.integers(n)]
             variances[m_idx] = variance_floor

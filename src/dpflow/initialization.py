@@ -1,10 +1,10 @@
 """Private data-dependent initialization of feature-normalization layers.
 
-For each actnorm layer in stack order: push the data through everything
-before it, clip features to [-c/2, c/2], set the offset to the noisy
-feature-wise mean and the scale to the noisy feature-wise std (floored),
-then normalize and continue. Noise is Laplace at scale
-2 sqrt(4 K ln(1/delta)) * sensitivity / eps per statistic.
+For each actnorm layer in stack order: push the data (in row blocks)
+through the layers since the previous actnorm layer, clip features to
+[-c/2, c/2], set the offset to the noisy feature-wise mean and the scale to
+the noisy feature-wise std (floored), then normalize and continue. Noise is
+Laplace at scale 2 sqrt(4 K ln(1/delta)) * sensitivity / eps per statistic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .accounting import laplace_noise
 from .errors import ConfigurationError
-from .flows import ACTNORM_SCALE_FLOOR, ActNormLayer, FlowModel
+from .flows import ACTNORM_SCALE_FLOOR, ActNormLayer, FlowModel, push_rows
 
 
 @dataclass
@@ -77,10 +77,13 @@ def dp_nf_init(X, model: FlowModel, config: InitConfig) -> FlowModel:
     streams = iter(seq.spawn(2 * n_layers))
 
     Z = X
+    segment = []
     for layer in model.layers:
         if not isinstance(layer, ActNormLayer):
-            Z, _ = layer.forward(Z)
+            segment.append(layer)
             continue
+        Z, _ = push_rows(segment, Z)
+        segment = []
         Z = np.clip(Z, -half, half)
         b = Z.mean(axis=0)
         w = Z.std(axis=0)

@@ -3,7 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, gammaln, logsumexp
 
 from dpflow import accounting as acc
 from dpflow.errors import (ConfigurationError, DpflowError,
@@ -26,6 +28,64 @@ def rdp_oracle(alpha, q, sigma):
             total += q ** j * mp.binomial(alpha, j) \
                 * mp.e ** ((j - 1) * eps(j)) * 2
         return float(mp.log(total) / (alpha - 1))
+
+
+def rdp_curve_loop_oracle(q, sigma, orders):
+    """The per-order, per-term loop that the one-array ``rdp_curve``
+    replaced: a Python list of log-terms for each order, one logsumexp
+    each."""
+    def log_binom(n, k):
+        return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+    inv = 1.0 / (sigma * sigma)
+    log_q = math.log(q)
+    log_b2 = min(math.log(4.0) + inv + math.log1p(-math.exp(-inv)),
+                 math.log(2.0) + inv)
+    curve = []
+    for alpha in orders:
+        terms = [0.0, 2.0 * log_q + log_binom(alpha, 2) + log_b2]
+        for j in range(3, alpha + 1):
+            terms.append(j * log_q + log_binom(alpha, j)
+                         + (j - 1) * j * inv / 2.0 + math.log(2.0))
+        curve.append(float(logsumexp(terms)) / (alpha - 1))
+    return np.array(curve)
+
+
+class TestRdpCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(1e-6, 1.0), sigma=st.floats(0.2, 50.0),
+           orders=st.lists(st.integers(2, 300), min_size=1, max_size=12))
+    def test_matches_loop_oracle(self, q, sigma, orders):
+        np.testing.assert_allclose(acc.rdp_curve(q, sigma, orders),
+                                   rdp_curve_loop_oracle(q, sigma, orders),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("q, sigma", [(64 / 27000, 0.8), (0.01, 1.1),
+                                          (1.0, 0.5), (1e-4, 10.0)])
+    def test_default_grid_matches_loop_oracle(self, q, sigma):
+        np.testing.assert_allclose(
+            acc.rdp_curve(q, sigma),
+            rdp_curve_loop_oracle(q, sigma, acc.DEFAULT_ORDERS), rtol=1e-12)
+
+    def test_single_order_is_the_curve(self):
+        curve = acc.rdp_curve(0.02, 1.3, (2, 7, 64))
+        assert [acc.rdp_subsampled_gaussian(a, 0.02, 1.3)
+                for a in (2, 7, 64)] == curve.tolist()
+
+    @pytest.mark.parametrize("orders", [(), (2, 1), (2.5,), (0,)])
+    def test_bad_order_grid_rejected(self, orders):
+        with pytest.raises(ConfigurationError):
+            acc.rdp_curve(0.01, 1.0, orders)
+
+    def test_empty_grid_rejected_by_accountant(self):
+        with pytest.raises(ConfigurationError):
+            acc.Accountant("rdp", 0.01, 1.0, 1e-5, orders=())
+
+    @pytest.mark.parametrize("q, sigma", [(0.0, 1.0), (1.5, 1.0),
+                                          (0.1, 0.0), (0.1, -1.0)])
+    def test_bad_q_sigma_rejected(self, q, sigma):
+        with pytest.raises(ConfigurationError):
+            acc.rdp_curve(q, sigma)
 
 
 class TestRdpSubsampledGaussian:

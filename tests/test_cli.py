@@ -233,15 +233,61 @@ def test_dp_ad_bad_eps_grid(small_data, tmp_path, capsys, eps, token):
     '[{"shape": "half-moons", "n": 10}]',
     '{"shape": "half-moons", "n": "abc"}',
     '{"shape": "cubes", "n": 10}',
-], ids=["invalid_json", "top_level_list", "bad_int", "bad_choice"])
+    '{"shape": "half-moons", "n": 10.7}',
+    '{"shape": "half-moons", "n": 10, "seed": true}',
+    '{"epsilon": true}',
+], ids=["invalid_json", "top_level_list", "bad_int", "bad_choice",
+        "float_for_int", "bool_for_int", "bool_for_float"])
 def test_bad_config_file_exit_code(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "rows.csv"
-    code, err = run_main(["gen-data", "--config", str(cfg),
-                          "--out", str(out)], capsys)
+    if "epsilon" in text:  # a float option: train has one
+        data = tmp_path / "data.csv"
+        data.write_text("0.0,0.0\n1.0,1.0\n")
+        argv = ["train", "--data", str(data)]
+    else:
+        argv = ["gen-data"]
+    code, err = run_main(argv + ["--config", str(cfg), "--out", str(out)],
+                         capsys)
     assert code == 1
     assert err.startswith("error:") and str(cfg) in err
+    assert not out.exists()
+
+
+def test_config_file_numbers_of_option_type_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"shape": "half-moons", "n": 12, "noise_std": 0,'
+                   ' "seed": 4}')
+    out = tmp_path / "rows.csv"
+    code, _ = run_main(["gen-data", "--config", str(cfg), "--out", str(out)],
+                       capsys)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 12
+
+
+@pytest.mark.parametrize("extra", [
+    ["--base", "gmm", "--gmm-components", "0"],
+    ["--base", "gmm", "--gmm-components", "-2"],
+    ["--base", "gmm", "--gmm-iters", "-1"],
+], ids=["zero_components", "negative_components", "negative_iters"])
+def test_bad_mixture_size_exit_code(small_data, tmp_path, capsys, extra):
+    model = tmp_path / "model.json"
+    code, err = run_main(train_args(small_data, model) + extra, capsys)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_size_below_one_exit_code(small_data, tmp_path, capsys, n):
+    model = tmp_path / "model.json"
+    assert run_main(train_args(small_data, model), capsys)[0] == 0
+    out = tmp_path / "synth.csv"
+    code, err = run_main(["sample", "--model", str(model), "--n", n,
+                          "--seed", "0", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "n must be >= 1" in err
     assert not out.exists()
 
 

@@ -5,11 +5,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpflow.errors import (ConfigurationError, NonFiniteInputError,
                            NumericalOverflowError)
-from dpflow.flows import (ActNormLayer, FlowModel, MadeLayer, ReversalLayer,
-                          SphericalGaussian, build_maf, made_masks)
+from dpflow.flows import (BLOCK_ROWS, ActNormLayer, FlowModel, GmmBase,
+                          MadeLayer, ReversalLayer, SphericalGaussian,
+                          build_maf, made_masks)
+from dpflow.gmm import GmmParams
 from dpflow.initialization import InitConfig, dp_nf_init
 from dpflow.training import (OptimizerState, TrainConfig, apply_update,
                              train_dp_nf)
@@ -277,6 +281,128 @@ class TestSampling:
             assert np.abs(back - x).max() < 1e-8
 
 
+def stack_oracle(layers, x, inverse=False):
+    """One unblocked pass of every row through ``layers``: the image and
+    the summed log-determinants."""
+    z, total = x, np.zeros(x.shape[0])
+    for layer in layers:
+        z, ld = layer.inverse(z) if inverse else layer.forward(z)
+        total = total + ld
+    return z, total
+
+
+BOUNDARY_ROWS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                 3 * BLOCK_ROWS + 5]
+
+
+def boundary_model(seed):
+    """A small non-trivial stack with actnorm and a mixture base."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim=3, hidden=6, blocks=2, actnorm=True,
+                         scale=0.3)
+    w = rng.uniform(0.2, 1.0, 3)
+    model.base = GmmBase(GmmParams(w / w.sum(), rng.normal(size=(3, 3)),
+                                   rng.uniform(0.5, 2.0, (3, 3))))
+    return model
+
+
+def count_layer_rows(monkeypatch, model, method):
+    """Record the row count of every ``method`` call on the model's layers."""
+    calls = []
+    for layer in model.layers:
+        real = getattr(layer, method)
+
+        def counted(z, real=real):
+            calls.append(z.shape[0])
+            return real(z)
+        monkeypatch.setattr(layer, method, counted)
+    return calls
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", BOUNDARY_ROWS)
+    def test_log_prob_and_transform(self, monkeypatch, n):
+        model = boundary_model(40)
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        z, total = stack_oracle(model.layers, x)
+        want = model.base.log_prob(z) + total
+        calls = count_layer_rows(monkeypatch, model, "forward")
+        got = model.log_prob(x)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(model.transform_to_base(x), z,
+                                   rtol=1e-12, atol=1e-13)
+        blocks = -(-n // BLOCK_ROWS)
+        assert len(calls) == 2 * blocks * len(model.layers)
+        assert max(calls, default=0) <= BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", BOUNDARY_ROWS[1:])
+    def test_sample(self, monkeypatch, n):
+        model = boundary_model(41)
+        base = model.base.sample(n, np.random.default_rng(7))
+        want, _ = stack_oracle(model.layers[::-1], base, inverse=True)
+        calls = count_layer_rows(monkeypatch, model, "inverse")
+        got = model.sample(n, 7)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert max(calls) <= BLOCK_ROWS
+        assert model.sample(n, 7).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n", BOUNDARY_ROWS[1:])
+    def test_dp_nf_init(self, n):
+        # Oracle: the unblocked init loop, with the same noise streams.
+        X = np.random.default_rng(n).normal(size=(n, 3)) * 2.0
+        cfg = InitConfig(clip_range=6.0, epsilon=2.0, delta=1e-5, seed=3)
+        model, oracle = boundary_model(42), boundary_model(42)
+        dp_nf_init(X, model, cfg)
+        init_oracle(X, oracle, cfg)
+        np.testing.assert_allclose(model.params, oracle.params, rtol=1e-12)
+
+    def test_overflow_names_layer(self):
+        model = FlowModel([ReversalLayer(2), ActNormLayer(2, w=[1e-6, 1e-6])],
+                          SphericalGaussian(2))
+        x = np.zeros((BLOCK_ROWS + 3, 2))
+        x[-1, 1] = 1e305  # only the last block overflows, at layer 1
+        with pytest.raises(NumericalOverflowError) as exc, \
+                np.errstate(over="ignore"):
+            model.log_prob(x)
+        assert exc.value.layer_index == 1
+
+    def test_sample_size_below_one_rejected(self):
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        for n in (0, -3):
+            with pytest.raises(ConfigurationError):
+                model.sample(n, 0)
+
+
+def init_oracle(X, model, config):
+    """dp_nf_init with one unblocked pass through every layer before each
+    actnorm layer (the loop that the segmented, row-blocked one replaced)."""
+    from dpflow.accounting import laplace_noise
+    from dpflow.flows import ACTNORM_SCALE_FLOOR
+    from dpflow.initialization import laplace_init_scale
+    n = X.shape[0]
+    n_layers = sum(isinstance(layer, ActNormLayer) for layer in model.layers)
+    half = config.clip_range / 2.0
+    scale_mean = laplace_init_scale(n_layers, config.delta,
+                                    config.clip_range / n, config.epsilon)
+    scale_std = laplace_init_scale(n_layers, config.delta,
+                                   config.clip_range / math.sqrt(n),
+                                   config.epsilon)
+    streams = iter(np.random.SeedSequence(config.seed).spawn(2 * n_layers))
+    Z = X
+    for layer in model.layers:
+        if not isinstance(layer, ActNormLayer):
+            Z, _ = layer.forward(Z)
+            continue
+        Z = np.clip(Z, -half, half)
+        b = laplace_noise(Z.mean(axis=0), scale_mean, next(streams))
+        w = laplace_noise(Z.std(axis=0), scale_std, next(streams))
+        w = np.maximum(w, ACTNORM_SCALE_FLOOR)
+        layer.set_param_tensors([w, b])
+        Z = (Z - b) / w
+    return model
+
+
 class TestNll:
     def test_identity_flow_single_point(self):
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
@@ -418,6 +544,40 @@ class TestSerialization:
         pts = rng.normal(size=(30, 2))
         np.testing.assert_array_equal(model.log_prob(pts),
                                       reloaded.log_prob(pts))
+
+
+@st.composite
+def architectures(draw):
+    """A random stack (dimension, blocks, width, actnorm) with random
+    parameters over a spherical or a random mixture base."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(rng, dim=draw(st.integers(1, 4)),
+                         hidden=draw(st.integers(1, 12)),
+                         blocks=draw(st.integers(1, 3)),
+                         actnorm=draw(st.booleans()))
+    m = draw(st.integers(0, 4))
+    if m:
+        w = rng.uniform(0.1, 1.0, m)
+        model.base = GmmBase(GmmParams(
+            w / w.sum(), rng.normal(size=(m, model.dim)),
+            rng.uniform(0.2, 3.0, (m, model.dim))))
+    return model, rng.normal(size=(17, model.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(architectures())
+def test_serialization_round_trip_property(case):
+    model, points = case
+    text = model.to_json()
+    reloaded = FlowModel.from_json(text)
+    assert reloaded.to_json() == text
+    assert reloaded.params.tobytes() == model.params.tobytes()
+    assert [type(layer) for layer in reloaded.layers] \
+        == [type(layer) for layer in model.layers]
+    assert type(reloaded.base) is type(model.base)
+    assert reloaded.log_prob(points).tobytes() \
+        == model.log_prob(points).tobytes()
+    assert reloaded.sample(9, 3).tobytes() == model.sample(9, 3).tobytes()
 
 
 @pytest.mark.parametrize("case", ["wrong_shape", "missing_tensor",

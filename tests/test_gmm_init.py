@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from dpflow import gmm as gmm_module
 from dpflow.errors import ConfigurationError
 from dpflow.flows import ActNormLayer, build_maf
 from dpflow.gmm import (VARIANCE_FLOOR, GmmParams, gmm_fit_em, gmm_logpdf,
@@ -14,6 +18,94 @@ def random_gmm(rng, m=3, d=2):
     w = rng.uniform(0.2, 1.0, m)
     return GmmParams(w / w.sum(), rng.normal(size=(m, d)),
                      rng.uniform(0.3, 2.0, (m, d)))
+
+
+# Oracles: the row-major (n, M, D) mixture path with scipy's logsumexp that
+# the component-major code replaced.
+
+def component_logpdf_oracle(gmm, x):
+    diff = x[:, None, :] - gmm.means[None, :, :]          # (n, M, D)
+    quad = np.sum(diff * diff / gmm.variances[None], axis=2)
+    norm = np.sum(np.log(gmm.variances), axis=1) \
+        + gmm.dim * math.log(2 * math.pi)
+    return -0.5 * (quad + norm[None, :])
+
+
+def gmm_logpdf_oracle(gmm, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    log_joint = component_logpdf_oracle(gmm, pts) + np.log(gmm.weights)
+    return logsumexp(log_joint, axis=1)
+
+
+def gmm_logpdf_grad_oracle(gmm, x):
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    log_joint = component_logpdf_oracle(gmm, pts) + np.log(gmm.weights)
+    resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    grads = -(pts[:, None, :] - gmm.means[None]) / gmm.variances[None]
+    return np.sum(resp[:, :, None] * grads, axis=1)
+
+
+def gmm_fit_em_oracle(X, n_components, n_iters=100, seed=0,
+                      variance_floor=VARIANCE_FLOOR):
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    means = gmm_module._kmeanspp_centers(X, n_components, rng)
+    variances = np.tile(np.maximum(X.var(axis=0), variance_floor),
+                        (n_components, 1))
+    weights = np.full(n_components, 1.0 / n_components)
+    ll_trace = []
+    for _ in range(n_iters):
+        gmm = GmmParams(weights, means, variances)
+        log_joint = component_logpdf_oracle(gmm, X) + np.log(weights)[None, :]
+        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        ll_trace.append(float(np.mean(log_norm)))
+        resp = np.exp(log_joint - log_norm)                # (n, M)
+        counts = resp.sum(axis=0)
+        empty = counts < 1e-10
+        nonempty = ~empty
+        r = resp[:, nonempty]
+        c = counts[nonempty][:, None]
+        means[nonempty] = (r.T @ X) / c
+        diff2 = (X[:, None, :] - means[None, nonempty, :]) ** 2
+        variances[nonempty] = np.maximum(
+            np.einsum("nm,nmd->md", r, diff2) / c, variance_floor)
+        for m_idx in np.flatnonzero(empty):
+            means[m_idx] = X[rng.integers(n)]
+            variances[m_idx] = variance_floor
+            counts[m_idx] = 1.0
+        weights = counts / counts.sum()
+    return GmmParams(weights, means, variances), ll_trace
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    """|got - want| <= rel * max|want|, elementwise: a relative bound on
+    the array that does not blow up at entries that cancel to near zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) \
+        <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@st.composite
+def mixtures(draw):
+    """A mixture with D in 1..4 and M in 1..6, some components duplicated
+    (ties), and query points that include the component means."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.normal(0.0, 2.0, (m, d))
+    variances = rng.uniform(0.05, 3.0, (m, d))
+    weights = rng.uniform(0.1, 1.0, m)
+    for k in range(1, m):
+        if draw(st.booleans()):  # duplicate an earlier component exactly
+            src = int(rng.integers(k))
+            means[k], variances[k], weights[k] = \
+                means[src], variances[src], weights[src]
+    gmm = GmmParams(weights / weights.sum(), means, variances)
+    x = np.vstack([rng.normal(0.0, 3.0, (draw(st.integers(0, 40)), d)),
+                   means])
+    return gmm, x
 
 
 class TestGmmLogpdf:
@@ -65,6 +157,81 @@ class TestGmmLogpdf:
         assert integral == pytest.approx(1.0, abs=1e-3)
 
 
+class TestAgainstRowMajorOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(mixtures())
+    def test_logpdf_and_grad(self, case):
+        gmm, x = case
+        np.testing.assert_allclose(gmm_logpdf(gmm, x),
+                                   gmm_logpdf_oracle(gmm, x), rtol=1e-12)
+        assert gmm_logpdf(gmm, x[0]) == pytest.approx(
+            float(gmm_logpdf_oracle(gmm, x[:1])[0]), rel=1e-12)
+        # Each gradient entry is a sum of signed terms; bound its error by
+        # the largest term.
+        terms = np.abs((x[:, None, :] - gmm.means) / gmm.variances)
+        err = np.abs(gmm_logpdf_grad(gmm, x) - gmm_logpdf_grad_oracle(gmm, x))
+        assert np.all(err <= 1e-12 * terms.max(axis=1))
+
+    def test_all_minus_inf_row_gives_minus_inf(self):
+        gmm = GmmParams(np.array([0.5, 0.5]), np.zeros((2, 2)),
+                        np.ones((2, 2)))
+        x = np.array([[0.0, 0.0], [1e200, 0.0], [0.5, -0.5]])
+        with np.errstate(over="ignore"):
+            got, want = gmm_logpdf(gmm, x), gmm_logpdf_oracle(gmm, x)
+        assert got[1] == -np.inf and want[1] == -np.inf
+        assert not np.any(np.isnan(got))
+        np.testing.assert_allclose(got[[0, 2]], want[[0, 2]], rtol=1e-12)
+
+    def test_zero_rows(self):
+        gmm = GmmParams(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
+        assert gmm_logpdf(gmm, np.zeros((0, 3))).shape == (0,)
+        assert gmm_logpdf_grad(gmm, np.zeros((0, 3))).shape == (0, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 6),
+           iters=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           duplicate_rows=st.booleans())
+    def test_em_matches_oracle(self, d, m, iters, seed, duplicate_rows):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(int(rng.integers(m + 1, 150)), d)) \
+            + rng.normal(0.0, 3.0, (1, d))
+        if duplicate_rows:  # exact ties between points
+            X[len(X) // 2:] = X[:len(X) - len(X) // 2]
+        got, got_trace = gmm_fit_em(X, m, n_iters=iters, seed=seed)
+        want, want_trace = gmm_fit_em_oracle(X, m, n_iters=iters, seed=seed)
+        for a, b in ((got.weights, want.weights), (got.means, want.means),
+                     (got.variances, want.variances)):
+            assert_close_to_scale(a, b)
+        assert_close_to_scale(got_trace, want_trace)
+
+    def test_em_empty_component_reseed_matches_oracle(self, monkeypatch):
+        # Seed one component a million units from the data: it takes no
+        # responsibility in the first E-step, so both paths reseed it at a
+        # data point drawn from the same generator.
+        real_centers = gmm_module._kmeanspp_centers
+
+        def far_centers(X, m, rng):
+            centers = real_centers(X, m, rng)
+            centers[-1] = 1e6
+            return centers
+
+        monkeypatch.setattr(gmm_module, "_kmeanspp_centers", far_centers)
+        X = np.random.default_rng(31).normal(size=(200, 2))
+        one_step = []
+        for fit in (gmm_fit_em, gmm_fit_em_oracle):
+            gmm, _ = fit(X, 3, n_iters=1, seed=4)
+            assert gmm.variances[-1].tolist() == [VARIANCE_FLOOR] * 2
+            assert any(np.array_equal(gmm.means[-1], row) for row in X)
+            one_step.append(gmm.means[-1])
+        np.testing.assert_array_equal(one_step[0], one_step[1])
+        got, got_trace = gmm_fit_em(X, 3, n_iters=6, seed=4)
+        want, want_trace = gmm_fit_em_oracle(X, 3, n_iters=6, seed=4)
+        for a, b in ((got.weights, want.weights), (got.means, want.means),
+                     (got.variances, want.variances)):
+            assert_close_to_scale(a, b)
+        assert_close_to_scale(got_trace, want_trace)
+
+
 class TestGmmSample:
     def test_component_frequencies(self):
         rng = np.random.default_rng(4)
@@ -112,6 +279,15 @@ class TestGmmFitEm:
         np.testing.assert_allclose(means[1], [5.0, 5.0], atol=0.2)
         np.testing.assert_allclose(gmm.weights, [0.5, 0.5], atol=0.05)
 
+    def test_variance_does_not_cancel_at_large_offset(self):
+        # Unit spread a million units from the origin: a variance taken as
+        # E[x^2] - mean^2 would lose about 12 of its 16 digits here.
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(500, 2)) + 1e6
+        gmm, _ = gmm_fit_em(X, 1, n_iters=2, seed=0)
+        np.testing.assert_allclose(gmm.variances[0], X.var(axis=0),
+                                   rtol=1e-8)
+
     def test_loglik_monotone(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(400, 2)) @ np.array([[1.0, 0.4], [0.0, 0.8]])
@@ -122,6 +298,22 @@ class TestGmmFitEm:
     def test_needs_more_points_than_components(self):
         with pytest.raises(ConfigurationError):
             gmm_fit_em(np.zeros((3, 2)), 5)
+
+    @pytest.mark.parametrize("components, iters",
+                             [(0, 10), (-2, 10), (2, -1)])
+    def test_bad_sizes_rejected(self, components, iters):
+        X = np.random.default_rng(0).normal(size=(20, 2))
+        with pytest.raises(ConfigurationError):
+            gmm_fit_em(X, components, n_iters=iters)
+
+    def test_zero_iterations_is_the_seeding(self):
+        X = np.random.default_rng(1).normal(size=(20, 2))
+        gmm, trace = gmm_fit_em(X, 3, n_iters=0, seed=5)
+        assert trace == []
+        np.testing.assert_array_equal(gmm.weights, np.full(3, 1 / 3))
+        np.testing.assert_array_equal(
+            gmm.means,
+            gmm_module._kmeanspp_centers(X, 3, np.random.default_rng(5)))
 
     def test_variances_floored(self):
         X = np.vstack([np.zeros((50, 2)), np.ones((50, 2))])
