@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..gmm import GmmParams, gmm_logpdf, gmm_logpdf_grad, gmm_sample
+from ..gmm import GmmParams, gmm_logpdf, gmm_logpdf_and_grad, gmm_sample
 
 
 class SphericalGaussian:
@@ -24,6 +24,9 @@ class SphericalGaussian:
 
     def grad_log_prob(self, u):
         return -u
+
+    def log_prob_and_grad(self, u):
+        return self.log_prob(u), self.grad_log_prob(u)
 
     def sample(self, n, rng):
         return np.random.default_rng(rng).standard_normal((n, self.dim))
@@ -43,7 +46,11 @@ class GmmBase:
         return gmm_logpdf(self.params, u)
 
     def grad_log_prob(self, u):
-        return gmm_logpdf_grad(self.params, u)
+        return self.log_prob_and_grad(u)[1]
+
+    def log_prob_and_grad(self, u):
+        """Log-density (n,) and its gradient (n, D) from one E-step."""
+        return gmm_logpdf_and_grad(self.params, u)
 
     def sample(self, n, rng):
         return gmm_sample(self.params, n, rng)

@@ -7,7 +7,9 @@ together with log|det d(out)/d(in)| per example; ``inverse`` runs the
 sampling direction. ``forward_cache``/``backward_pieces`` run reverse-mode
 accumulation down to per-example gradient factors, from which
 ``pieces_sq_norms`` and ``pieces_weighted_sum`` form the clipped batch
-gradient without materializing per-example gradients.
+gradient without materializing per-example gradients. A MADE layer forms its
+masked weights once per ``forward``, ``inverse`` or ``forward_cache`` call;
+``forward_cache`` carries them in its cache for ``backward_pieces``.
 
 A layer's trainable tensors are the attributes named in ``tensor_names``.
 Once the layer joins a ``FlowModel`` they are views into the model's flat
@@ -80,7 +82,9 @@ class MadeLayer(_ParamTensors):
     Density direction: u_i = (x_i - mu_i(x_<i)) * exp(-alpha_i(x_<i)) with
     log|det| = -sum_i alpha_i. The shift and log-scale heads share a two-layer
     ReLU trunk; the log-scale output is squashed to [-s_max, s_max] via
-    s_max * tanh(raw / s_max).
+    s_max * tanh(raw / s_max). Each pass forms the four masked weights once
+    (``forward_cache`` keeps them in the cache for ``backward_pieces``) and
+    writes the bias adds, ReLUs and squash into its matmul outputs.
     """
 
     tensor_names = ("W1", "W2", "Wm", "Wa", "b1", "b2", "bm", "ba")
@@ -106,42 +110,60 @@ class MadeLayer(_ParamTensors):
         self.bm = np.zeros(dim)
         self.ba = np.zeros(dim)
 
-    def _heads(self, x):
-        """Shift and squashed log-scale for a batch, with trunk intermediates."""
-        z1 = x @ (self.W1 * self.m1).T + self.b1
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ (self.W2 * self.m2).T + self.b2
-        h2 = np.maximum(z2, 0.0)
-        mu = h2 @ (self.Wm * self.m_out).T + self.bm
-        raw = h2 @ (self.Wa * self.m_out).T + self.ba
-        alpha = self.s_max * np.tanh(raw / self.s_max)
-        return mu, alpha, (z1 > 0.0, h1, z2 > 0.0, h2)
+    def _masked_weights(self):
+        """The masked trunk and head weights (W1, W2, Wm, Wa), formed once
+        per pass."""
+        return (self.W1 * self.m1, self.W2 * self.m2,
+                self.Wm * self.m_out, self.Wa * self.m_out)
+
+    def _heads(self, x, weights):
+        """Shift, squashed log-scale and the two ReLU activations for a
+        batch. Each bias add, ReLU and squash is written into the output of
+        its matmul."""
+        w1, w2, wm, wa = weights
+        h1 = x @ w1.T
+        h1 += self.b1
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ w2.T
+        h2 += self.b2
+        np.maximum(h2, 0.0, out=h2)
+        mu = h2 @ wm.T
+        mu += self.bm
+        alpha = h2 @ wa.T
+        alpha += self.ba
+        alpha /= self.s_max
+        np.tanh(alpha, out=alpha)
+        alpha *= self.s_max
+        return mu, alpha, h1, h2
 
     def forward(self, x):
-        mu, alpha, _ = self._heads(x)
+        mu, alpha, _, _ = self._heads(x, self._masked_weights())
         u = (x - mu) * np.exp(-alpha)
         return u, -alpha.sum(axis=1)
 
     def forward_cache(self, x):
-        mu, alpha, (r1, h1, r2, h2) = self._heads(x)
+        weights = self._masked_weights()
+        mu, alpha, h1, h2 = self._heads(x, weights)
         eneg = np.exp(-alpha)
         u = (x - mu) * eneg
-        cache = (x, r1, h1, r2, h2, alpha, eneg, u)
+        cache = (x, h1, h2, alpha, eneg, u, weights)
         return u, -alpha.sum(axis=1), cache
 
     def backward_pieces(self, cache, du, dld):
         """Reverse step keeping only the (m, width) factors of each
         parameter gradient; every per-example weight gradient is the masked
-        outer product of one factor with one cached activation."""
-        x, r1, h1, r2, h2, alpha, eneg, u = cache
+        outer product of one factor with one cached activation. The masked
+        weights come from the cache, and the ReLU indicators are h > 0
+        (the same mask as pre-activation > 0, also for NaN)."""
+        x, h1, h2, alpha, eneg, u, (w1, w2, wm, wa) = cache
         dalpha = -du * u - dld[:, None]
         dmu = -du * eneg
         draw = dalpha * (1.0 - (alpha / self.s_max) ** 2)
-        dh2 = dmu @ (self.Wm * self.m_out) + draw @ (self.Wa * self.m_out)
-        dz2 = dh2 * r2
-        dh1 = dz2 @ (self.W2 * self.m2)
-        dz1 = dh1 * r1
-        dx = du * eneg + dz1 @ (self.W1 * self.m1)
+        dz2 = dmu @ wm + draw @ wa
+        dz2 *= h2 > 0.0
+        dz1 = dz2 @ w2
+        dz1 *= h1 > 0.0
+        dx = du * eneg + dz1 @ w1
         return dx, (x, h1, h2, dz1, dz2, dmu, draw)
 
     # (output factor, input activation, mask) for each weight tensor, in
@@ -192,8 +214,9 @@ class MadeLayer(_ParamTensors):
             alpha0 = self.s_max * np.tanh(self.ba[0] / self.s_max)
             x[:, 0] = u[:, 0] * np.exp(alpha0) + self.bm[0]
             first = 1
+        weights = self._masked_weights()
         for i in range(first, self.dim):
-            mu, alpha, _ = self._heads(x)
+            mu, alpha, _, _ = self._heads(x, weights)
             x[:, i] = u[:, i] * np.exp(alpha[:, i]) + mu[:, i]
         return x, alpha.sum(axis=1)
 

@@ -12,29 +12,37 @@ it, so optimizers update the model by writing that buffer in place.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from ..errors import (ConfigurationError, DpflowError, NonFiniteInputError,
                       NumericalOverflowError, TrainingInstabilityError)
-from .bases import SphericalGaussian, base_from_descriptor
+from .bases import GmmBase, SphericalGaussian, base_from_descriptor
 from .layers import LAYER_TYPES, ActNormLayer, MadeLayer, ReversalLayer
 
 FORMAT_VERSION = 1
 
-# Rows per block in ``push_rows``: one (rows, H) float64 temporary is 1 MiB
-# at H = 64.
-BLOCK_ROWS = 2048
+# Rows per block in ``push_rows``: one (rows, H) float64 temporary is
+# 256 KiB at H = 64, so a block's working set stays in L2 cache.
+BLOCK_ROWS = 512
 
 
-def _finite_float(text: str) -> float:
-    """JSON number hook: Python's json accepts NaN and Infinity, and an
-    overlong literal parses to inf; a model holds neither."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"non-finite value {text} in model file")
-    return value
+def _reject_constant(text: str):
+    """JSON hook for the NaN and Infinity keywords, which Python's json
+    accepts; a model holds neither."""
+    raise ConfigurationError(f"non-finite value {text} in model file")
+
+
+def _check_finite(model: "FlowModel"):
+    """An overlong number literal parses to inf; check every float a model
+    file sets (parameters, squash bounds, mixture arrays) once, as arrays."""
+    values = [model.params] + [layer.s_max for layer in model.layers
+                               if isinstance(layer, MadeLayer)]
+    if isinstance(model.base, GmmBase):
+        p = model.base.params
+        values += [p.weights, p.means, p.variances]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ConfigurationError("non-finite value in model file")
 
 
 class FlowModel:
@@ -166,8 +174,9 @@ class FlowModel:
             z, ld, cache = layer.forward_cache(z)
             caches.append(cache)
             total += ld
-        losses = -(self.base.log_prob(z) + total)
-        du = -self.base.grad_log_prob(z)
+        log_base, grad_base = self.base.log_prob_and_grad(z)
+        losses = -(log_base + total)
+        du = -grad_base
         dld = -np.ones(m)
         pieces = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -203,8 +212,7 @@ class FlowModel:
         a tensor of the wrong shape, a layer/base dimension mismatch or a
         non-finite value raises ConfigurationError."""
         try:
-            doc = json.loads(text, parse_float=_finite_float,
-                             parse_constant=_finite_float)
+            doc = json.loads(text, parse_constant=_reject_constant)
             if doc.get("format_version") != FORMAT_VERSION:
                 raise ConfigurationError(
                     f"unsupported model format {doc.get('format_version')}")
@@ -214,7 +222,9 @@ class FlowModel:
                     raise ConfigurationError(
                         f"unknown layer type {desc['type']!r}")
                 layers.append(LAYER_TYPES[desc["type"]].from_descriptor(desc))
-            return cls(layers, base_from_descriptor(doc["base"]))
+            model = cls(layers, base_from_descriptor(doc["base"]))
+            _check_finite(model)
+            return model
         except DpflowError:
             raise
         except (AttributeError, KeyError, OverflowError, TypeError,

@@ -99,11 +99,13 @@ def gmm_logpdf(gmm: GmmParams, x) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-def gmm_logpdf_grad(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
-    """Gradient of the mixture log-density with respect to x, shape (n, D):
-    sum_m r_mn (mean_m - x_n) / var_m, one coordinate at a time."""
+def gmm_logpdf_and_grad(gmm: GmmParams, x: np.ndarray):
+    """The mixture log-density (n,), as ``gmm_logpdf``, and its gradient
+    with respect to x (n, D), sum_m r_mn (mean_m - x_n) / var_m, from one
+    E-step; the gradient is built one coordinate at a time."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    resp, _ = _responsibilities(gmm.weights, gmm.means, gmm.variances, pts)
+    resp, log_norm = _responsibilities(gmm.weights, gmm.means, gmm.variances,
+                                       pts)
     grad = np.empty(pts.shape)
     diff = np.empty_like(resp)
     for k in range(pts.shape[1]):
@@ -111,7 +113,7 @@ def gmm_logpdf_grad(gmm: GmmParams, x: np.ndarray) -> np.ndarray:
         diff /= gmm.variances[:, k, None]
         diff *= resp
         grad[:, k] = diff.sum(axis=0)
-    return grad
+    return log_norm, grad
 
 
 def gmm_sample(gmm: GmmParams, n: int, seed) -> np.ndarray:

@@ -291,6 +291,27 @@ def test_sample_size_below_one_exit_code(small_data, tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["s_max", "gmm_variance"])
+def test_overlong_literal_model_exit_code(small_data, tmp_path, capsys,
+                                          where):
+    model = tmp_path / "model.json"
+    assert run_main(train_args(small_data, model, base="gmm",
+                               **{"gmm-components": 2, "gmm-iters": 5}),
+                    capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    if where == "s_max":
+        doc["layers"][0]["s_max"] = "INF"
+    else:
+        doc["base"]["variances"][1][0] = "INF"
+    model.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+    out = tmp_path / "scores.csv"
+    code, err = run_main(["logprob", "--model", str(model), "--data",
+                          str(small_data), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "non-finite" in err
+    assert not out.exists()
+
+
 def test_downstream_knn(runner, small_data, tmp_path):
     model = tmp_path / "model.json"
     assert runner.invoke(cli, train_args(small_data, model)).exit_code == 0

@@ -225,15 +225,89 @@ class TestLogProb:
             assert integral == pytest.approx(1.0, abs=1e-3)
 
 
+def made_heads_oracle(layer, x):
+    """Reference MADE trunk: each masked weight formed at its product,
+    out-of-place bias adds, ReLUs and squash, and ReLU indicators taken from
+    the pre-activations."""
+    z1 = x @ (layer.W1 * layer.m1).T + layer.b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ (layer.W2 * layer.m2).T + layer.b2
+    h2 = np.maximum(z2, 0.0)
+    mu = h2 @ (layer.Wm * layer.m_out).T + layer.bm
+    raw = h2 @ (layer.Wa * layer.m_out).T + layer.ba
+    alpha = layer.s_max * np.tanh(raw / layer.s_max)
+    return mu, alpha, (z1 > 0.0, h1, z2 > 0.0, h2)
+
+
+def made_kernel_oracle(layer, x, du, dld, weights):
+    """Reference MADE kernels on one batch: the forward image and
+    log-determinant, the reverse step's dx and gradient factors, and the
+    per-example squared norms and weighted sums formed from those factors."""
+    mu, alpha, (r1, h1, r2, h2) = made_heads_oracle(layer, x)
+    eneg = np.exp(-alpha)
+    u = (x - mu) * eneg
+    dalpha = -du * u - dld[:, None]
+    dmu = -du * eneg
+    draw = dalpha * (1.0 - (alpha / layer.s_max) ** 2)
+    dh2 = dmu @ (layer.Wm * layer.m_out) + draw @ (layer.Wa * layer.m_out)
+    dz2 = dh2 * r2
+    dh1 = dz2 @ (layer.W2 * layer.m2)
+    dz1 = dh1 * r1
+    dx = du * eneg + dz1 @ (layer.W1 * layer.m1)
+    row_dot = lambda a, b: np.einsum("ij,ij->i", a, b)  # noqa: E731
+    sq = row_dot(dz1 * dz1, (x * x) @ layer.m1.T + 1.0)
+    sq += row_dot(dz2 * dz2, (h1 * h1) @ layer.m2.T + 1.0)
+    sq += row_dot(dmu * dmu + draw * draw, (h2 * h2) @ layer.m_out.T + 1.0)
+    sums = [((out * weights[:, None]).T @ act) * mask
+            for out, act, mask in ((dz1, x, layer.m1), (dz2, h1, layer.m2),
+                                   (dmu, h2, layer.m_out),
+                                   (draw, h2, layer.m_out))]
+    sums += [weights @ factor for factor in (dz1, dz2, dmu, draw)]
+    return {"u": u, "logdet": -alpha.sum(axis=1), "dx": dx,
+            "pieces": (x, h1, h2, dz1, dz2, dmu, draw), "sq_norms": sq,
+            "sums": sums}
+
+
 def made_inverse_oracle(layer, u):
     """Reference MADE inversion: one full trunk pass per coordinate plus a
     final pass for the log-determinant (D+1 passes)."""
     x = np.array(u, dtype=float)
     for i in range(layer.dim):
-        mu, alpha, _ = layer._heads(x)
+        mu, alpha, _ = made_heads_oracle(layer, x)
         x[:, i] = u[:, i] * np.exp(alpha[:, i]) + mu[:, i]
-    mu, alpha, _ = layer._heads(x)
+    mu, alpha, _ = made_heads_oracle(layer, x)
     return x, alpha.sum(axis=1)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(dim=st.integers(1, 5), hidden=st.integers(1, 16),
+       rows=st.sampled_from([1, 7, 64, BLOCK_ROWS + 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_made_kernels_bitwise_equal_to_oracle(dim, hidden, rows, seed):
+    rng = np.random.default_rng(seed)
+    layer = MadeLayer(dim, hidden, s_max=float(rng.uniform(0.5, 6.0)),
+                      rng=rng)
+    # Non-zero heads and biases, masked entries included.
+    layer.set_param_tensors([rng.normal(0, 0.8, t.shape)
+                             for t in layer.param_tensors()])
+    x = rng.normal(size=(rows, dim))
+    du, dld = rng.normal(size=(rows, dim)), rng.normal(size=rows)
+    weights = rng.uniform(0.0, 1.0, rows)
+    want = made_kernel_oracle(layer, x, du, dld, weights)
+
+    def same(got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+    same(layer.forward(x), (want["u"], want["logdet"]))
+    u, logdet, cache = layer.forward_cache(x)
+    same((u, logdet), (want["u"], want["logdet"]))
+    dx, pieces = layer.backward_pieces(cache, du, dld)
+    same((dx,) + pieces, (want["dx"],) + want["pieces"])
+    same((layer.pieces_sq_norms(pieces),), (want["sq_norms"],))
+    same(layer.pieces_weighted_sum(pieces, weights), want["sums"])
+    same(layer.inverse(x), made_inverse_oracle(layer, x))
 
 
 class TestSampling:
@@ -291,8 +365,11 @@ def stack_oracle(layers, x, inverse=False):
     return z, total
 
 
+# Row counts around one block edge, plus fixed counts that keep their case
+# ids whatever BLOCK_ROWS is: 2,047-2,049 straddle a multi-block edge and
+# 6,149 leaves a short last block (at 512 rows: 4 blocks +-1, 12 blocks + 5).
 BOUNDARY_ROWS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                 3 * BLOCK_ROWS + 5]
+                 3 * BLOCK_ROWS + 5, 2047, 2048, 2049, 6149]
 
 
 def boundary_model(seed):
@@ -478,6 +555,37 @@ class TestPerExampleGrad:
         assert total.shape == (model.n_params,)
 
 
+class TestBaseLogProbAndGrad:
+    @pytest.mark.parametrize("components", [0, 1, 4])
+    def test_matches_separate_calls(self, components):
+        rng = np.random.default_rng(components)
+        base = SphericalGaussian(3)
+        if components:
+            w = rng.uniform(0.1, 1.0, components)
+            base = GmmBase(GmmParams(w / w.sum(),
+                                     rng.normal(size=(components, 3)),
+                                     rng.uniform(0.2, 3.0, (components, 3))))
+        u = rng.normal(0.0, 2.0, (50, 3))
+        log_p, grad = base.log_prob_and_grad(u)
+        assert log_p.tobytes() == base.log_prob(u).tobytes()
+        assert grad.tobytes() == base.grad_log_prob(u).tobytes()
+
+    def test_one_mixture_e_step_per_gradient(self, monkeypatch):
+        from dpflow import gmm as gmm_module
+        rng = np.random.default_rng(3)
+        gmm = GmmParams([0.3, 0.7], rng.normal(size=(2, 2)), np.ones((2, 2)))
+        model = build_maf(2, n_blocks=2, hidden=6, base=GmmBase(gmm), seed=1)
+        calls = []
+        real = gmm_module._log_joint
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(gmm_module, "_log_joint", counted)
+        model.clipped_grad_sum(rng.normal(size=(9, 2)), 1.0)
+        assert len(calls) == 1
+
+
 class TestMadeSqNorms:
     def test_fused_matches_explicit_per_example_norms(self):
         """pieces_sq_norms equals the squared norm of each example's
@@ -578,6 +686,44 @@ def test_serialization_round_trip_property(case):
     assert reloaded.log_prob(points).tobytes() \
         == model.log_prob(points).tobytes()
     assert reloaded.sample(9, 3).tobytes() == model.sample(9, 3).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(architectures(), st.integers(1, 64),
+       st.floats(1e-3, 1e3), st.floats(0.1, 30.0))
+def test_clipped_sum_norm_bounded_property(case, b, clip, spread):
+    """However large the per-example gradients, the clipped sum of b rows
+    has norm at most b * C, and every per-example norm is finite."""
+    model, _ = case
+    x = np.random.default_rng(b).normal(0.0, spread, (b, model.dim))
+    _, total, norms = model.clipped_grad_sum(x, clip)
+    assert norms.shape == (b,) and np.all(np.isfinite(norms))
+    assert np.linalg.norm(total) <= b * clip * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("case", ["s_max", "actnorm_scale", "gmm_mean",
+                                  "gmm_variance"])
+def test_overlong_literal_rejected(case):
+    """A number literal that parses to inf is rejected wherever it sits."""
+    gmm = GmmParams([0.5, 0.5], [[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2)))
+    model = build_maf(2, n_blocks=1, hidden=4, actnorm=True,
+                      base=GmmBase(gmm), seed=0)
+    doc = json.loads(model.to_json())
+    made, _, actnorm = doc["layers"]
+    marker = 123.25
+    if case == "s_max":
+        made["s_max"] = marker
+    elif case == "actnorm_scale":
+        actnorm["params"]["w"][1] = marker
+    elif case == "gmm_mean":
+        doc["base"]["means"][1][0] = marker
+    else:
+        doc["base"]["variances"][0][1] = marker
+    text = json.dumps(doc)
+    assert text.count(repr(marker)) == 1
+    FlowModel.from_json(text)  # the marker itself is a valid value
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        FlowModel.from_json(text.replace(repr(marker), "1e999"))
 
 
 @pytest.mark.parametrize("case", ["wrong_shape", "missing_tensor",

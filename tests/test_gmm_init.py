@@ -10,8 +10,12 @@ from dpflow import gmm as gmm_module
 from dpflow.errors import ConfigurationError
 from dpflow.flows import ActNormLayer, build_maf
 from dpflow.gmm import (VARIANCE_FLOOR, GmmParams, gmm_fit_em, gmm_logpdf,
-                        gmm_logpdf_grad, gmm_sample)
+                        gmm_logpdf_and_grad, gmm_sample)
 from dpflow.initialization import InitConfig, dp_nf_init, laplace_init_scale
+
+
+def gmm_logpdf_grad(gmm, x):
+    return gmm_logpdf_and_grad(gmm, x)[1]
 
 
 def random_gmm(rng, m=3, d=2):
