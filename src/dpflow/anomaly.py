@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .flows import build_maf
+from .flows import FlowModel, build_maf
 from .training import train_flow
 
 
@@ -141,21 +141,25 @@ def build_ensemble(X, k: int, threshold: float = 0.0, *, n_blocks: int = 5,
                    hidden: int = 64, train_steps: int = 1000,
                    batch_size: int = 128, learning_rate: float = 1e-3,
                    seed=0) -> EnsembleDetector:
-    """Train one non-private flow per data partition."""
+    """Train one non-private flow per data partition.
+
+    The k members, each built and seeded from its own child of ``seed``,
+    train as one stacked model (``FlowModel.stack``) in a single
+    ``train_flow`` loop, at batch size min(batch_size, smallest part), and
+    are returned as k plain models. Bad step counts, batch sizes or rates
+    raise ConfigurationError (from ``train_flow``).
+    """
     X = np.asarray(X, dtype=float)
     parts = partition_indices(X.shape[0], k, seed=seed)
     min_size = min(len(p) for p in parts)
     if min_size < 2:
         raise ConfigurationError("insufficient data per partition")
-    seq = np.random.SeedSequence(seed)
-    models = []
-    for part, child in zip(parts, seq.spawn(k)):
-        child_seed = child.generate_state(1)[0]
-        model = build_maf(X.shape[1], n_blocks=n_blocks, hidden=hidden,
-                          seed=child_seed)
-        train_flow(X[part], model, train_steps,
-                   batch_size=min(batch_size, len(part)),
-                   learning_rate=learning_rate, seed=child_seed)
-        models.append(model)
-    return EnsembleDetector(models, threshold)
-
+    seeds = [child.generate_state(1)[0]
+             for child in np.random.SeedSequence(seed).spawn(k)]
+    stacked = FlowModel.stack(
+        build_maf(X.shape[1], n_blocks=n_blocks, hidden=hidden, seed=s)
+        for s in seeds)
+    train_flow([X[part] for part in parts], stacked, train_steps,
+               batch_size=batch_size, learning_rate=learning_rate,
+               seed=seeds)
+    return EnsembleDetector([stacked.member(j) for j in range(k)], threshold)

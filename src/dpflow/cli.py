@@ -411,6 +411,9 @@ def dp_ad(ctx, **_):
         grid = [float(token) for token in cfg["eps_grid"].split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"--eps: {exc}") from None
+    if not 0.0 < cfg["test_frac"] < 1.0:
+        raise ConfigurationError(
+            f"--test-frac must be in (0, 1), got {cfg['test_frac']}")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     rng = np.random.default_rng(cfg["seed"])
     n_test = int(round(cfg["test_frac"] * ds.n))

@@ -5,7 +5,9 @@ dimension-wise histograms)."""
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,41 +43,87 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     """Parse a rectangular numeric CSV; the first line becomes column names
     when ``has_header`` is set.
 
-    A cell is read as Python's ``float()`` reads it. After the row widths
-    are checked, all rows are converted in one call; only when that fails
-    are the cells converted one by one, to name the row and column of the
-    first non-numeric cell.
+    A cell is read as Python's ``float()`` reads it. The header is read with
+    ``csv``; the data rows go to numpy's C parser (``_parse_plain``), which
+    reads plain decimal cells with the same values. Whatever that parser
+    refuses or might read differently (quoted or exotic cells, blank lines,
+    ragged rows) is parsed by ``csv`` and converted cell by cell, which
+    names the row and column of the first non-numeric cell. A file that is
+    not valid text raises ConfigurationError.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None) if has_header else None
+            header_lines = reader.line_num
+            text = fh.read()
+        data = _parse_plain(path, text, header_lines)
+        if data is None:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"{path}: unreadable CSV: {exc}") from None
+    if has_header and header is None:
         raise ConfigurationError(f"{path}: empty file")
-    columns = None
-    if has_header:
-        columns = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise ConfigurationError(f"{path}: header but no data rows")
+    if data is None:
+        data = _parse_rows(path, rows, has_header)
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInputError(f"{path}: non-finite values")
+    return Dataset(data, columns=header)
+
+
+def _parse_plain(path, text, header_lines):
+    """The data rows by numpy's C parser, or None where its reading could
+    differ from ``csv`` plus ``float()``: on any parse error, and when it
+    skipped a line (it drops blank lines, which the cell-by-cell path
+    rejects). ``text`` is the file after its first ``header_lines`` lines.
+
+    The parser reads the file again line by line, so it holds no
+    four-bytes-per-character copy of ``text``, as a ``StringIO`` would. In
+    text mode the lines end at CR LF, CR or LF, as ``csv`` splits them.
+    Cells are converted by the same correctly rounded routine as
+    ``float()``, so the values agree.
+    """
+    if not text:
+        return None
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              skiprows=header_lines)
+    except ValueError:
+        return None
+    lines = (text.count("\n") + text.count("\r") - text.count("\r\n")
+             + (text[-1] not in "\r\n"))
+    return data if data.shape[0] == lines else None
+
+
+def _parse_rows(path, rows, has_header):
+    """The cell-by-cell path: csv rows to an array, with the row width
+    checked and the first non-numeric cell named."""
+    if not rows:
+        raise ConfigurationError(f"{path}: " + (
+            "header but no data rows" if has_header else "empty file"))
     width = len(rows[0])
+    if width == 0:
+        raise ConfigurationError(f"{path}: row 1 is blank")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ConfigurationError(
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
     try:
-        data = np.array(rows, dtype=float)
+        return np.array(rows, dtype=float)
     except ValueError:
-        data = np.empty((len(rows), width))
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                try:
-                    data[i, j] = float(cell)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{path}: non-numeric cell at row {i + 1}, "
-                        f"column {j + 1}: {cell!r}") from None
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteInputError(f"{path}: non-finite values")
-    return Dataset(data, columns=columns)
+        pass
+    data = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: non-numeric cell at row {i + 1}, "
+                    f"column {j + 1}: {cell!r}") from None
+    return data
 
 
 def write_rows(fh, header, rows):

@@ -20,7 +20,7 @@ class SphericalGaussian:
 
     def log_prob(self, u):
         return -0.5 * (self.dim * math.log(2 * math.pi)
-                       + np.sum(u * u, axis=1))
+                       + np.sum(u * u, axis=-1))
 
     def grad_log_prob(self, u):
         return -u

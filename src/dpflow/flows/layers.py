@@ -14,6 +14,16 @@ masked weights once per ``forward``, ``inverse`` or ``forward_cache`` call;
 A layer's trainable tensors are the attributes named in ``tensor_names``.
 Once the layer joins a ``FlowModel`` they are views into the model's flat
 parameter buffer, so they are only ever written in place.
+
+Member axis: in a stack of k same-architecture layers (``FlowModel.stack``)
+every tensor has a leading axis of length k and the batch is (k, m, D).
+The MADE gradient kernels (``forward_cache``, ``backward_pieces``,
+``pieces_sq_norms``, ``pieces_weighted_sum``), ``forward`` and the reversal
+layer take either shape. They are written so that slice j of a stacked
+result has the bytes of the 2-D call on member j: batched matmuls against
+``.mT``, biases added as ``b[..., None, :]``, reductions over ``axis=-1``,
+an ``...ij`` einsum for row dot products, and each bias sum as a (1, m) by
+(m, width) matmul. ``inverse`` and the actnorm layer are 2-D only.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ class _ParamTensors:
 
 
 def _row_dot(a, b):
-    """sum_j a[i, j] * b[i, j] for each row i."""
-    return np.einsum("ij,ij->i", a, b)
+    """sum_j a[..., i, j] * b[..., i, j] for each row i."""
+    return np.einsum("...ij,...ij->...i", a, b)
 
 
 def made_degrees(dim: int, hidden: int):
@@ -121,16 +131,16 @@ class MadeLayer(_ParamTensors):
         batch. Each bias add, ReLU and squash is written into the output of
         its matmul."""
         w1, w2, wm, wa = weights
-        h1 = x @ w1.T
-        h1 += self.b1
+        h1 = x @ w1.mT
+        h1 += self.b1[..., None, :]
         np.maximum(h1, 0.0, out=h1)
-        h2 = h1 @ w2.T
-        h2 += self.b2
+        h2 = h1 @ w2.mT
+        h2 += self.b2[..., None, :]
         np.maximum(h2, 0.0, out=h2)
-        mu = h2 @ wm.T
-        mu += self.bm
-        alpha = h2 @ wa.T
-        alpha += self.ba
+        mu = h2 @ wm.mT
+        mu += self.bm[..., None, :]
+        alpha = h2 @ wa.mT
+        alpha += self.ba[..., None, :]
         alpha /= self.s_max
         np.tanh(alpha, out=alpha)
         alpha *= self.s_max
@@ -139,7 +149,7 @@ class MadeLayer(_ParamTensors):
     def forward(self, x):
         mu, alpha, _, _ = self._heads(x, self._masked_weights())
         u = (x - mu) * np.exp(-alpha)
-        return u, -alpha.sum(axis=1)
+        return u, -alpha.sum(axis=-1)
 
     def forward_cache(self, x):
         weights = self._masked_weights()
@@ -147,7 +157,7 @@ class MadeLayer(_ParamTensors):
         eneg = np.exp(-alpha)
         u = (x - mu) * eneg
         cache = (x, h1, h2, alpha, eneg, u, weights)
-        return u, -alpha.sum(axis=1), cache
+        return u, -alpha.sum(axis=-1), cache
 
     def backward_pieces(self, cache, du, dld):
         """Reverse step keeping only the (m, width) factors of each
@@ -156,7 +166,7 @@ class MadeLayer(_ParamTensors):
         weights come from the cache, and the ReLU indicators are h > 0
         (the same mask as pre-activation > 0, also for NaN)."""
         x, h1, h2, alpha, eneg, u, (w1, w2, wm, wa) = cache
-        dalpha = -du * u - dld[:, None]
+        dalpha = -du * u - dld[..., None]
         dmu = -du * eneg
         draw = dalpha * (1.0 - (alpha / self.s_max) ** 2)
         dz2 = dmu @ wm + draw @ wa
@@ -192,9 +202,11 @@ class MadeLayer(_ParamTensors):
         """sum_m weights[m] * grad_m per tensor, without materializing the
         per-example gradients."""
         _, _, _, dz1, dz2, dmu, draw = pieces
-        sums = [((out * weights[:, None]).T @ act) * mask
+        sums = [((out * weights[..., None]).mT @ act) * mask
                 for out, act, mask in self._factor_triples(pieces)]
-        sums.extend(weights @ factor for factor in (dz1, dz2, dmu, draw))
+        row = weights[..., None, :]
+        sums.extend((row @ factor)[..., 0, :]
+                    for factor in (dz1, dz2, dmu, draw))
         return sums
 
     def inverse(self, u):
@@ -302,13 +314,13 @@ class ReversalLayer(_ParamTensors):
         self.dim = dim
 
     def forward(self, x):
-        return x[:, ::-1], np.zeros(x.shape[0])
+        return x[..., ::-1], np.zeros(x.shape[:-1])
 
     def forward_cache(self, x):
-        return x[:, ::-1], np.zeros(x.shape[0]), None
+        return x[..., ::-1], np.zeros(x.shape[:-1]), None
 
     def backward_pieces(self, cache, du, dld):
-        return du[:, ::-1], ()
+        return du[..., ::-1], ()
 
     def pieces_sq_norms(self, pieces):
         return 0.0

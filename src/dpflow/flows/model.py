@@ -7,10 +7,20 @@ reverse-mode accumulation. All trainable scalars live in one flat float64
 buffer, ``FlowModel.params``, in a canonical layout (layer order, weights
 before biases within a layer, row-major); each layer tensor is a view into
 it, so optimizers update the model by writing that buffer in place.
+
+``FlowModel.stack`` joins k flows of one architecture into a model with a
+leading member axis: every layer tensor is the members' tensors stacked
+along axis 0 (a (k, ...) view into one ``params``), inputs are (k, m, D)
+batches, and ``clipped_grad_sum`` returns one gradient laid out like
+``params`` in a single pass over the layers. Slice j of each stacked result
+has the bytes of member j's own 2-D computation, so an elementwise
+optimizer trains the k members exactly as k separate runs would. A stacked
+model only computes gradients; ``member(j)`` gives back a plain model.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -50,6 +60,7 @@ class FlowModel:
         self.layers = list(layers)
         self.base = base
         self.dim = base.dim
+        self.members = None  # k once ``stack`` has joined k flows
         for layer in self.layers:
             if layer.dim != self.dim:
                 raise ConfigurationError(
@@ -71,6 +82,52 @@ class FlowModel:
                 view[...] = tensor
                 setattr(layer, name, view)
                 offset += tensor.size
+
+    @classmethod
+    def stack(cls, models) -> "FlowModel":
+        """One model whose tensors are the tensors of ``models`` stacked
+        along a leading member axis. The members must share one architecture
+        of MADE and reversal layers over a spherical Gaussian base; an
+        actnorm layer, a mixture base or a differing layer, width or squash
+        bound raises ConfigurationError."""
+        models = list(models)
+        if not models:
+            raise ConfigurationError("nothing to stack")
+        first = models[0]
+        for model in models:
+            if model.members is not None:
+                raise ConfigurationError("cannot stack a stacked model")
+            if not isinstance(model.base, SphericalGaussian):
+                raise ConfigurationError(
+                    "stacking needs a spherical Gaussian base")
+            if any(isinstance(layer, ActNormLayer) for layer in model.layers):
+                raise ConfigurationError("cannot stack actnorm layers")
+            if [_layer_shape(layer) for layer in model.layers] != \
+                    [_layer_shape(layer) for layer in first.layers]:
+                raise ConfigurationError("stacked models differ in layers")
+        layers = [_with_tensors(group[0], [
+            np.stack(tensors)
+            for tensors in zip(*(layer.param_tensors() for layer in group))])
+            for group in zip(*(model.layers for model in models))]
+        stacked = cls(layers, SphericalGaussian(first.dim))
+        stacked.members = len(models)
+        return stacked
+
+    def member(self, j: int) -> "FlowModel":
+        """Member j of a stacked model as a plain model with its own copy
+        of the parameters."""
+        if self.members is None:
+            raise ConfigurationError("not a stacked model")
+        layers = [_with_tensors(layer, [t[j] for t in layer.param_tensors()])
+                  for layer in self.layers]
+        return FlowModel(layers, SphericalGaussian(self.dim))
+
+    def _require_plain(self, what: str):
+        """A stacked model holds k members; a density, sample or file of
+        one must come from ``member(j)``, never from broadcasting."""
+        if self.members is not None:
+            raise ConfigurationError(
+                f"{what} needs a plain model; use member(j) of the stack")
 
     # A copy or unpickled model would hold each layer tensor as its own
     # array; drop the buffer from the state and bind a new one on restore.
@@ -110,12 +167,20 @@ class FlowModel:
     # -- density, sampling --------------------------------------------------
 
     def _check_input(self, x):
+        """Rows as an (n, D) array (a stack: (k, m, D)), and whether x was
+        one point (D,)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
+        lead = () if self.members is None else (self.members,)
+        if pts.ndim != len(lead) + 2 or pts.shape[:len(lead)] != lead:
+            want = "(n, D)" if self.members is None \
+                else f"({self.members}, m, D)"
             raise NonFiniteInputError(
-                f"input dimension {pts.shape[1]} != model dimension {self.dim}")
+                f"expected rows of shape {want}, got {pts.shape}")
+        if pts.shape[-1] != self.dim:
+            raise NonFiniteInputError(
+                f"input dimension {pts.shape[-1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(pts)):
             raise NonFiniteInputError("input contains non-finite values")
         return pts, single
@@ -125,6 +190,7 @@ class FlowModel:
         non-finite value after layer i raises NumericalOverflowError with
         ``layer_index`` i (the first such layer in the first block of rows
         where one occurs)."""
+        self._require_plain("log_prob")
         pts, single = self._check_input(x)
         z, total = push_rows(self.layers, pts, check=True)
         out = self.base.log_prob(z) + total
@@ -134,6 +200,7 @@ class FlowModel:
         """Image of x under the layer stack (the point whose base density
         enters log_prob). Useful for fitting a data-dependent base: at the
         identity initialization this is exactly the stack's net permutation."""
+        self._require_plain("transform_to_base")
         pts, single = self._check_input(x)
         z, _ = push_rows(self.layers, pts)
         return z[0] if single else z
@@ -141,6 +208,7 @@ class FlowModel:
     def sample(self, n: int, seed) -> np.ndarray:
         """n draws: all n base points from one generator, then the layer
         inverses in reverse order. ``n < 1`` raises ConfigurationError."""
+        self._require_plain("sample")
         if n < 1:
             raise ConfigurationError("n must be >= 1")
         rng = np.random.default_rng(seed)
@@ -164,11 +232,14 @@ class FlowModel:
         row's exact gradient of -log p.
 
         Returns (losses (m,), summed gradient (P,), per-example norms (m,)).
+        A stacked model takes (k, m, D) rows, member j's batch in slice j,
+        and returns losses and norms of shape (k, m) and the k members'
+        summed gradients in one vector laid out like ``params``.
         """
         pts, _ = self._check_input(x)
-        m = pts.shape[0]
+        rows = pts.shape[:-1]
         z = pts
-        total = np.zeros(m)
+        total = np.zeros(rows)
         caches = []
         for layer in self.layers:
             z, ld, cache = layer.forward_cache(z)
@@ -177,12 +248,12 @@ class FlowModel:
         log_base, grad_base = self.base.log_prob_and_grad(z)
         losses = -(log_base + total)
         du = -grad_base
-        dld = -np.ones(m)
+        dld = -np.ones(rows)
         pieces = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             du, pieces[i] = self.layers[i].backward_pieces(caches[i], du, dld)
 
-        sq = np.zeros(m)
+        sq = np.zeros(rows)
         for layer, p in zip(self.layers, pieces):
             sq = sq + layer.pieces_sq_norms(p)
         norms = np.sqrt(sq)
@@ -197,6 +268,7 @@ class FlowModel:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
+        self._require_plain("to_json")
         doc = {
             "format_version": FORMAT_VERSION,
             "dim": self.dim,
@@ -232,13 +304,30 @@ class FlowModel:
             raise ConfigurationError(f"malformed model file: {exc!r}") from exc
 
     def save(self, path):
+        text = self.to_json()  # a refused model leaves no file behind
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "FlowModel":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _with_tensors(layer, tensors):
+    """A shallow copy of ``layer`` holding ``tensors`` in the order of its
+    ``tensor_names`` (masks and settings shared with ``layer``)."""
+    out = copy.copy(layer)
+    for name, tensor in zip(layer.tensor_names, tensors):
+        setattr(out, name, tensor)
+    return out
+
+
+def _layer_shape(layer):
+    """What two layers must share to be stacked: type, dimension, tensor
+    shapes and, for MADE, the squash bound."""
+    return (type(layer), layer.dim, [t.shape for t in layer.param_tensors()],
+            getattr(layer, "s_max", None))
 
 
 def push_rows(layers, x, inverse=False, check=False):

@@ -236,16 +236,41 @@ def train_flow(X, model: FlowModel, n_steps: int, batch_size: int = 128,
                learning_rate: float = 1e-3, seed=0) -> FlowModel:
     """Plain (non-private) minibatch Adam on the mean negative log-likelihood.
 
-    Used for ensemble members and non-private reference models.
+    Used for ensemble members and non-private reference models. For a
+    stacked model (``FlowModel.stack`` of k flows), X is a sequence of k row
+    arrays and ``seed`` a sequence of k seeds: member j draws its batches
+    from X[j] with its own generator, every member takes
+    b = min(batch_size, fewest rows of any X[j]) rows per step, and one
+    gradient pass serves all k. Adam is elementwise, so each member ends
+    with the bytes of its own run at batch size b. A negative step count,
+    a batch size below 1, a non-positive learning rate or an empty row
+    array raises ConfigurationError.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    config = TrainConfig(learning_rate=learning_rate, optimizer="adam")
+    if n_steps < 0:
+        raise ConfigurationError(
+            f"step count must be nonnegative, got {n_steps}")
+    config = TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
+                         optimizer="adam")
+    config.validate()
+    if model.members is None:
+        parts, seeds = [X], [seed]
+    else:
+        parts, seeds = list(X), list(seed)
+        if len(parts) != model.members or len(seeds) != model.members:
+            raise ConfigurationError(
+                f"a stack of {model.members} needs as many row arrays "
+                f"and seeds")
+    parts = [np.asarray(part, dtype=float) for part in parts]
+    b = min(batch_size, min(len(part) for part in parts))
+    if b < 1:
+        raise ConfigurationError("no rows to train on")
+    rngs = [np.random.default_rng(s) for s in seeds]
     state = OptimizerState()
     for _ in range(n_steps):
-        idx = rng.choice(n, min(batch_size, n), replace=False)
-        _, grad_sum, _ = model.clipped_grad_sum(X[idx], np.inf)
-        apply_update(model.params, grad_sum / idx.size, state, config)
+        batch = np.stack([part[rng.choice(len(part), b, replace=False)]
+                          for part, rng in zip(parts, rngs)])
+        _, grad_sum, _ = model.clipped_grad_sum(
+            batch if model.members else batch[0], np.inf)
+        apply_update(model.params, grad_sum / b, state, config)
         model.project_params()
     return model

@@ -11,6 +11,7 @@ from dpflow.anomaly import (EnsembleDetector, build_ensemble,
                             select_threshold)
 from dpflow.errors import ConfigurationError
 from dpflow.flows import build_maf
+from dpflow.training import train_flow
 
 
 def identity_model(dim=2):
@@ -349,7 +350,67 @@ class TestDpAdQuery:
                 majority_oracle(ties, 10, seed=s))
 
 
+def ensemble_oracle(X, k, *, n_blocks, hidden, train_steps, batch_size,
+                    learning_rate, seed):
+    """The per-member reference: member j is built from child j of the
+    seed and trained alone by its own ``train_flow`` loop on its part, at
+    batch size min(batch_size, its part's rows)."""
+    X = np.asarray(X, dtype=float)
+    parts = partition_indices(X.shape[0], k, seed=seed)
+    models = []
+    for part, child in zip(parts, np.random.SeedSequence(seed).spawn(k)):
+        child_seed = child.generate_state(1)[0]
+        model = build_maf(X.shape[1], n_blocks=n_blocks, hidden=hidden,
+                          seed=child_seed)
+        train_flow(X[part], model, train_steps,
+                   batch_size=min(batch_size, len(part)),
+                   learning_rate=learning_rate, seed=child_seed)
+        models.append(model)
+    return models
+
+
 class TestBuildEnsemble:
+    @pytest.mark.parametrize("n, k, batch_size", [
+        (400, 4, 32),    # equal parts of 100 rows
+        (403, 4, 64),    # parts of 101, 101, 101 and 100 rows
+        (351, 5, 70),    # parts of 71 and 70 rows, all >= batch_size
+    ])
+    def test_members_bitwise_equal_to_per_member_oracle(self, n, k,
+                                                        batch_size):
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        kwargs = dict(n_blocks=2, hidden=6, train_steps=15,
+                      batch_size=batch_size, learning_rate=3e-3, seed=n + k)
+        det = build_ensemble(X, k, **kwargs)
+        want = ensemble_oracle(X, k, **kwargs)
+        assert det.k == k
+        for got, expected in zip(det.models, want):
+            assert got.members is None
+            assert got.params.tobytes() == expected.params.tobytes()
+            assert got.to_json() == expected.to_json()
+            assert got.log_prob(X[:9]).tobytes() \
+                == expected.log_prob(X[:9]).tobytes()
+
+    def test_small_parts_share_the_smallest_batch(self):
+        """With a part smaller than batch_size, every member takes
+        min(batch_size, smallest part) rows per step."""
+        X = np.random.default_rng(31).normal(size=(150, 2))  # parts 38, 37
+        kwargs = dict(n_blocks=1, hidden=5, train_steps=12,
+                      learning_rate=3e-3, seed=4)
+        det = build_ensemble(X, 4, batch_size=128, **kwargs)
+        want = ensemble_oracle(X, 4, batch_size=37, **kwargs)
+        for got, expected in zip(det.models, want):
+            assert got.params.tobytes() == expected.params.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        dict(train_steps=-1), dict(batch_size=0), dict(batch_size=-5),
+        dict(learning_rate=0.0), dict(learning_rate=-1e-3)])
+    def test_bad_training_sizes_rejected(self, bad):
+        X = np.random.default_rng(32).normal(size=(40, 2))
+        kwargs = dict(n_blocks=1, hidden=4, train_steps=2, seed=0)
+        kwargs.update(bad)
+        with pytest.raises(ConfigurationError):
+            build_ensemble(X, 2, **kwargs)
+
     def test_small_end_to_end(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(400, 2))

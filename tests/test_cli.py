@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
 
 from dpflow import anomaly as ad
 from dpflow import data as dt
 from dpflow.accounting import Accountant, gdp_mu
 from dpflow.cli import cli, main
-from dpflow.flows import FlowModel
-from test_data import csv_writer_oracle
+from dpflow.flows import FlowModel, build_maf
+from test_data import CSV_FILES, csv_float_oracle, csv_writer_oracle
 
 
 @pytest.fixture
@@ -226,6 +227,56 @@ def test_dp_ad_bad_eps_grid(small_data, tmp_path, capsys, eps, token):
     assert code == 1
     assert err.startswith("error:") and token in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--test-frac", "-0.1", "--test-frac must be in (0, 1)"),
+    ("--test-frac", "0", "--test-frac must be in (0, 1)"),
+    ("--test-frac", "1", "--test-frac must be in (0, 1)"),
+    ("--test-frac", "1.5", "--test-frac must be in (0, 1)"),
+    ("--test-frac", "nan", "--test-frac must be in (0, 1)"),
+    ("--train-steps", "-3", "step count must be nonnegative"),
+])
+def test_dp_ad_bad_sizes(small_data, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sweep.csv"
+    argv = ["dp-ad", "--data", str(small_data), "--k", "2",
+            "--train-steps", "2", "--hidden", "4", "--blocks", "1",
+            "--out", str(out), flag, value]
+    code, err = run_main(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def query_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    build_maf(2, n_blocks=1, hidden=4, seed=0).save(path)
+    return path
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=CSV_FILES)
+def test_logprob_malformed_csv_exit_code(query_model, tmp_path, capsys, raw):
+    """Any CSV bytes: logprob exits 0 on a two-column table of moderate
+    values, and 1 with an ``error:`` line on a refused table, never with an
+    exception. (Values near the float range may overflow in the model,
+    which is also exit 1.)"""
+    data = tmp_path / "random.csv"
+    data.write_bytes(raw)
+    code, err = run_main(["logprob", "--model", str(query_model),
+                          "--data", str(data),
+                          "--manifest", str(tmp_path / "m.json")], capsys)
+    want = csv_float_oracle(data)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and "Traceback" not in err
+    if want is None or want.shape[1] != 2:
+        assert code == 1
+    elif np.all(np.abs(want) < 1e100):
+        assert code == 0, err
 
 
 @pytest.mark.parametrize("text", [

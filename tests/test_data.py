@@ -3,11 +3,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dpflow.data import (Dataset, dimwise_histogram, gen_gaussians8,
-                         gen_half_moons, gen_pinwheel, knn_regress_mse,
-                         load_csv, make_cv_splits, pca_project, save_csv,
-                         standardize, unstandardize, write_rows)
+from dpflow.data import (Dataset, _parse_plain, dimwise_histogram,
+                         gen_gaussians8, gen_half_moons, gen_pinwheel,
+                         knn_regress_mse, load_csv, make_cv_splits,
+                         pca_project, save_csv, standardize, unstandardize,
+                         write_rows)
 from dpflow.errors import ConfigurationError, NonFiniteInputError
 
 
@@ -135,6 +138,151 @@ class TestCsvBulk:
         want = np.array([[float(c) for c in row]
                          for row in csv.reader(lines)])
         assert load_csv(path).X.tobytes() == want.tobytes()
+
+
+def csv_float_oracle(path, has_header=False):
+    """The reference reader: csv rows of one non-zero width, each cell
+    read by ``float()``, every value finite. Returns the array, or None where the
+    file is refused."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if has_header:
+        rows = rows[1:]
+    if not rows or not rows[0] or any(len(row) != len(rows[0])
+                                      for row in rows):
+        return None
+    try:
+        values = [[float(cell) for cell in row] for row in rows]
+    except ValueError:
+        return None
+    data = np.array(values, dtype=float).reshape(len(rows), len(rows[0]))
+    return data if np.all(np.isfinite(data)) else None
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("text, want", [
+        ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        (" 1 ,\t2\x0c\n", [[1.0, 2.0]]),
+        ("1,2\n\n3,4\n", "row 2 has 0 cells, expected 2"),
+        ("1,2\n3,4\n\n", "row 3 has 0 cells, expected 2"),
+        ("1,2\r\n\r\n3,4\r\n", "row 2 has 0 cells, expected 2"),
+        ("\n1,2\n", "row 1 is blank"),
+        ("\n\n", "row 1 is blank"),
+        ("1,2\n   \n3,4\n", "row 2 has 1 cells, expected 2"),
+        ("1\n \n2\n", "non-numeric cell at row 2, column 1: ' '"),
+        ("1,2\n#3,4\n", "non-numeric cell at row 2, column 1: '#3'"),
+        ("# note\n1,2\n", "row 2 has 2 cells, expected 1"),
+        ("1,2 # note\n", "non-numeric cell at row 1, column 2: '2 # note'"),
+    ], ids=["crlf", "no_final_newline", "cr", "whitespace_cells",
+            "blank_line", "blank_last_line", "blank_crlf_line",
+            "blank_first_line", "only_blank_lines", "whitespace_only_line",
+            "whitespace_only_cell", "hash_cell", "hash_line",
+            "trailing_comment"])
+    def test_cases(self, tmp_path, text, want):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        if isinstance(want, str):
+            with pytest.raises(ConfigurationError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}: {want}"
+            assert csv_float_oracle(path) is None
+            return
+        got = load_csv(path).X
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == csv_float_oracle(path).tobytes()
+
+    def test_plain_tables_take_the_c_parser(self, tmp_path):
+        path = tmp_path / "p.csv"
+        for text, taken in [
+                ("1,2\n3,4\n", True), ("1,2\r\n3,4", True), ("1\r2\r", True),
+                ("-0,1e-400\n", True), ("", False), ("\n", False),
+                ("1\n\n2\n", False), ("1\n \n2\n", False),
+                ("1\r\r\n2\n", False), ('"1",2\n', False), ("1_0\n", False),
+                ("\u0661\n", False), ("\ufeff1\n", False)]:
+            path.write_bytes(text.encode())
+            assert (_parse_plain(path, text, 0) is not None) == taken, text
+        path.write_bytes(b'"a\nb",c\r\n1,2\r\n')
+        np.testing.assert_array_equal(_parse_plain(path, "1,2\r\n", 2),
+                                      [[1.0, 2.0]])
+
+    def test_header_over_two_lines(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b'"a\nb",c\r\n1,2\r\n3,4\r\n')
+        ds = load_csv(path, has_header=True)
+        assert ds.columns == ["a\nb", "c"]
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(ConfigurationError, match="unreadable"):
+            load_csv(path)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.9g}"),
+    st.integers(-10**20, 10**20).map(str),
+)
+EXOTIC_CELLS = st.one_of(
+    st.sampled_from([
+        "1_0", " 1.5 ", "+.5", "1e-400", "1e400", "-0", "0x10", "", " ",
+        ".", "1e", "nan", "-inf", "Infinity", "\u0661\u0662", "\ufeff1",
+        '"2.5"', '"1,5"', '"7\n"', "#3", "1\x00", "\x0c4\x0c", "\xa05",
+        "1 2", "\u0663.\u0665", "1\r", "\t6"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly rectangular numeric tables, with exotic cells, ragged rows,
+    blank or whitespace-only lines and mixed line endings mixed in."""
+    width = draw(st.integers(1, 4))
+    cells = st.one_of(NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, EXOTIC_CELLS)
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    ending = draw(endings)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", " , "])))
+            continue
+        w = width if kind > 1 else draw(st.integers(0, 5))
+        lines.append(",".join(draw(st.lists(cells, min_size=w,
+                                            max_size=w))))
+    text = "".join(line + (draw(endings) if draw(st.integers(0, 9)) == 0
+                           else ending) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+CSV_FILES = st.one_of(csv_texts(), csv_texts(),
+                      st.text(max_size=40).map(str.encode),
+                      st.binary(max_size=40))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=CSV_FILES, has_header=st.booleans())
+def test_load_csv_accepts_what_the_float_oracle_accepts(tmp_path, raw,
+                                                         has_header):
+    path = tmp_path / "random.csv"
+    path.write_bytes(raw)
+    want = csv_float_oracle(path, has_header)
+    if want is None:
+        with pytest.raises((ConfigurationError, NonFiniteInputError)):
+            load_csv(path, has_header=has_header)
+        return
+    got = load_csv(path, has_header=has_header).X
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestStandardize:

@@ -828,3 +828,151 @@ class TestLayout:
         total = sum(t.size for layer in model.layers
                     for t in layer.param_tensors())
         assert model.n_params == total
+
+
+# -- member stacking --------------------------------------------------------
+
+def random_members(rng, k, dim, hidden, s_max=None, blocks=1):
+    """k MADE/reversal flows of one architecture with random non-zero
+    parameters, masked entries included."""
+    s_max = float(rng.uniform(0.5, 6.0)) if s_max is None else s_max
+    members = []
+    for _ in range(k):
+        layers = []
+        for _ in range(blocks):
+            layer = MadeLayer(dim, hidden, s_max=s_max, rng=rng)
+            layer.set_param_tensors([rng.normal(0, 0.8, t.shape)
+                                     for t in layer.param_tensors()])
+            layers += [layer, ReversalLayer(dim)]
+        members.append(FlowModel(layers, SphericalGaussian(dim)))
+    return members
+
+
+def same_bytes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(k=st.integers(1, 4), dim=st.integers(1, 5), hidden=st.integers(1, 16),
+       rows=st.sampled_from([1, 7, 64]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_bitwise_equal_per_member(k, dim, hidden, rows, seed):
+    """Slice j of every stacked layer kernel, of the base and of the fused
+    clipped sum has the bytes of member j's own 2-D computation."""
+    rng = np.random.default_rng(seed)
+    members = random_members(rng, k, dim, hidden)
+    stack = FlowModel.stack(members)
+    x = rng.normal(size=(k, rows, dim))
+    du, dld = rng.normal(size=(k, rows, dim)), rng.normal(size=(k, rows))
+    weights = rng.uniform(0.0, 1.0, (k, rows))
+
+    for i, stacked in enumerate(stack.layers):
+        fwd = stacked.forward(x)
+        u, logdet, cache = stacked.forward_cache(x)
+        dx, pieces = stacked.backward_pieces(cache, du, dld)
+        sq = np.broadcast_to(stacked.pieces_sq_norms(pieces), (k, rows))
+        sums = stacked.pieces_weighted_sum(pieces, weights)
+        for j, member in enumerate(members):
+            layer = member.layers[i]
+            same_bytes([a[j] for a in fwd], layer.forward(x[j]))
+            u_j, logdet_j, cache_j = layer.forward_cache(x[j])
+            same_bytes((u[j], logdet[j]), (u_j, logdet_j))
+            dx_j, pieces_j = layer.backward_pieces(cache_j, du[j], dld[j])
+            same_bytes((dx[j],) + tuple(p[j] for p in pieces),
+                       (dx_j,) + tuple(pieces_j))
+            same_bytes([sq[j]], [np.broadcast_to(
+                layer.pieces_sq_norms(pieces_j), rows)])
+            same_bytes([s[j] for s in sums],
+                       layer.pieces_weighted_sum(pieces_j, weights[j]))
+
+    lp, grad = stack.base.log_prob_and_grad(x)
+    for j, member in enumerate(members):
+        same_bytes((lp[j], grad[j]), member.base.log_prob_and_grad(x[j]))
+
+    for clip in (np.inf, 1.0):
+        losses, total, norms = stack.clipped_grad_sum(x, clip)
+        assert total.shape == stack.params.shape
+        # The summed gradient is laid out like params: written into a
+        # stack, member j's share is member(j)'s parameter vector.
+        layout = FlowModel.stack(members)
+        layout.set_flat(total)
+        for j, member in enumerate(members):
+            losses_j, total_j, norms_j = member.clipped_grad_sum(x[j], clip)
+            same_bytes((losses[j], norms[j], layout.member(j).params),
+                       (losses_j, norms_j, total_j))
+
+
+class TestStack:
+    def test_members_round_trip(self):
+        models = [build_maf(3, n_blocks=2, hidden=5, seed=s)
+                  for s in range(4)]
+        for model in models:
+            model.set_flat(np.random.default_rng(7).normal(
+                size=model.n_params))
+        stack = FlowModel.stack(models)
+        assert stack.members == 4 and stack.n_params == 4 * models[0].n_params
+        for layer in stack.layers:
+            for tensor in layer.param_tensors():
+                assert tensor.shape[0] == 4
+                assert np.shares_memory(tensor, stack.params)
+        for j, model in enumerate(models):
+            member = stack.member(j)
+            assert member.members is None
+            assert member.to_json() == model.to_json()
+            assert member.params.tobytes() == model.params.tobytes()
+            assert not np.shares_memory(member.params, stack.params)
+            assert not np.shares_memory(member.params, model.params)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.log_prob(np.zeros((2, 3, 2))),
+        lambda s: s.log_prob(np.zeros(2)),
+        lambda s: s.sample(4, 0),
+        lambda s: s.to_json(),
+        lambda s: s.transform_to_base(np.zeros((2, 3, 2))),
+        lambda s: s.nll(np.zeros((2, 3, 2))),
+    ], ids=["log_prob", "log_prob_point", "sample", "to_json",
+            "transform_to_base", "nll"])
+    def test_plain_queries_refused(self, call, tmp_path):
+        stack = FlowModel.stack(build_maf(2, n_blocks=1, hidden=4, seed=s)
+                                for s in range(2))
+        with pytest.raises(ConfigurationError, match="member"):
+            call(stack)
+        with pytest.raises(ConfigurationError):
+            stack.save(tmp_path / "stack.json")
+        assert not (tmp_path / "stack.json").exists()
+
+    @pytest.mark.parametrize("case", ["actnorm", "gmm_base", "hidden",
+                                      "s_max", "dim", "empty", "stacked"])
+    def test_stack_rejected(self, case):
+        models = [build_maf(2, n_blocks=1, hidden=4, seed=s) for s in (0, 1)]
+        if case == "actnorm":
+            models[1] = build_maf(2, n_blocks=1, hidden=4, actnorm=True)
+        elif case == "gmm_base":
+            models[0].base = GmmBase(GmmParams([1.0], [[0.0, 0.0]],
+                                               [[1.0, 1.0]]))
+        elif case == "hidden":
+            models[1] = build_maf(2, n_blocks=1, hidden=5)
+        elif case == "s_max":
+            models[1] = build_maf(2, n_blocks=1, hidden=4, s_max=3.0)
+        elif case == "dim":
+            models = [FlowModel([ReversalLayer(d)], SphericalGaussian(d))
+                      for d in (2, 3)]
+        elif case == "empty":
+            models = []
+        else:
+            models = [FlowModel.stack(models)]
+        with pytest.raises(ConfigurationError):
+            FlowModel.stack(models)
+
+    def test_input_shapes_checked(self):
+        plain = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        stack = FlowModel.stack([plain, plain])
+        for bad in (np.zeros((3, 2)), np.zeros((3, 4, 2)),
+                    np.zeros((2, 4, 3)), np.zeros((1, 2, 4, 2))):
+            with pytest.raises(NonFiniteInputError):
+                stack.clipped_grad_sum(bad, 1.0)
+        with pytest.raises(NonFiniteInputError):
+            plain.clipped_grad_sum(np.zeros((2, 4, 2)), 1.0)
+        with pytest.raises(ConfigurationError):
+            plain.member(0)

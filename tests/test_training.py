@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dpflow.accounting import Accountant, steps_for_budget
 from dpflow.data import gen_half_moons, standardize
 from dpflow.errors import ConfigurationError
-from dpflow.flows import build_maf
+from dpflow.flows import FlowModel, build_maf
 from dpflow.training import (OptimizerState, TrainConfig, _draw_batch,
                              apply_update, noisy_mean, train_dp_nf,
                              train_flow)
@@ -431,3 +431,60 @@ class TestTrainFlow:
         before = model.nll(X)
         train_flow(X, model, n_steps=300, batch_size=128, seed=0)
         assert model.nll(X) < before
+
+    def test_plain_run_bitwise_equal_to_loop_oracle(self):
+        X = np.random.default_rng(10).normal(size=(300, 2))
+        model = build_maf(2, n_blocks=2, hidden=8, seed=1)
+        want = build_maf(2, n_blocks=2, hidden=8, seed=1)
+        train_flow(X, model, n_steps=25, batch_size=64,
+                   learning_rate=2e-3, seed=5)
+        # The loop itself: one uniform batch, the unclipped gradient mean
+        # and one Adam step per iteration.
+        rng = np.random.default_rng(5)
+        config = TrainConfig(learning_rate=2e-3, optimizer="adam")
+        state = OptimizerState()
+        for _ in range(25):
+            idx = rng.choice(300, 64, replace=False)
+            _, grad_sum, _ = want.clipped_grad_sum(X[idx], np.inf)
+            apply_update(want.params, grad_sum / 64, state, config)
+        assert model.params.tobytes() == want.params.tobytes()
+
+    def test_stack_trains_each_member_as_alone(self):
+        rng = np.random.default_rng(11)
+        parts = [rng.normal(size=(n, 3)) for n in (50, 61, 72)]
+        seeds = [7, 8, 9]
+        models = [build_maf(3, n_blocks=2, hidden=5, seed=s) for s in seeds]
+        stack = FlowModel.stack(models)
+        train_flow(parts, stack, n_steps=20, batch_size=24,
+                   learning_rate=3e-3, seed=seeds)
+        for j, (part, model, seed) in enumerate(zip(parts, models, seeds)):
+            train_flow(part, model, n_steps=20, batch_size=24,
+                       learning_rate=3e-3, seed=seed)
+            assert stack.member(j).params.tobytes() == model.params.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        dict(n_steps=-3), dict(batch_size=0), dict(learning_rate=0.0),
+        dict(learning_rate=-1.0)])
+    def test_bad_sizes_rejected(self, bad):
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        before = model.get_flat()
+        kwargs = dict(n_steps=2, batch_size=8, learning_rate=1e-3)
+        kwargs.update(bad)
+        with pytest.raises(ConfigurationError):
+            train_flow(np.zeros((20, 2)), model, **kwargs)
+        assert model.params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("case", ["too_few_parts", "too_few_seeds",
+                                      "empty_part"])
+    def test_stack_inputs_checked(self, case):
+        stack = FlowModel.stack(build_maf(2, n_blocks=1, hidden=4, seed=s)
+                                for s in range(2))
+        parts, seeds = [np.zeros((10, 2)), np.zeros((12, 2))], [0, 1]
+        if case == "too_few_parts":
+            parts = parts[:1]
+        elif case == "too_few_seeds":
+            seeds = seeds[:1]
+        else:
+            parts[1] = np.zeros((0, 2))
+        with pytest.raises(ConfigurationError):
+            train_flow(parts, stack, 3, batch_size=4, seed=seeds)
