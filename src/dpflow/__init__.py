@@ -12,7 +12,7 @@ from .anomaly import (EnsembleDetector, RocCurve, build_ensemble,
                       select_threshold)
 from .data import (Dataset, dimwise_histogram, gen_gaussians8, gen_half_moons,
                    gen_pinwheel, knn_regress_mse, load_csv, make_cv_splits,
-                   pca_project, save_csv, standardize, unstandardize)
+                   pca_project, save_csv, standardize)
 from .flows import (ActNormLayer, FlowModel, GmmBase, MadeLayer,
                     ReversalLayer, SphericalGaussian, build_maf)
 from .gmm import GmmParams, gmm_fit_em, gmm_logpdf, gmm_sample

@@ -153,7 +153,8 @@ class Accountant:
     sigma: float
     delta: float
     orders: tuple = DEFAULT_ORDERS
-    _step_curve: np.ndarray | None = field(default=None, repr=False)
+    _step_curve: np.ndarray | None = field(default=None, init=False,
+                                           repr=False)
 
     def __post_init__(self):
         if self.method not in ("rdp", "gdp"):

@@ -19,6 +19,9 @@ from .errors import ConfigurationError
 from .flows import FlowModel, build_maf
 from .training import train_flow
 
+# Lower and upper tail bands of gen_tail_anomalies, as percentile pairs.
+TAIL_PERCENTILES = (5.0, 30.0, 70.0, 95.0)
+
 
 def select_threshold(scores, labels):
     """Pick the accuracy-maximizing cut for the rule "in iff score > T".
@@ -82,18 +85,16 @@ def roc(scores, labels) -> RocCurve:
     return RocCurve(thresholds, fpr, tpr, auc)
 
 
-def gen_tail_anomalies(reference, count: int, seed=0,
-                       lower=(5.0, 30.0), upper=(70.0, 95.0)) -> np.ndarray:
+def gen_tail_anomalies(reference, count: int, seed=0) -> np.ndarray:
     """Uniform draws from the per-dimension tail bands of a reference sample
-    (between the 5th-30th and 70th-95th percentiles by default); the band is
-    chosen by a fair coin per coordinate."""
+    (``TAIL_PERCENTILES``: between the 5th-30th and 70th-95th percentiles);
+    the band is chosen by a fair coin per coordinate."""
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     n, d = reference.shape
     if n < 20:
         raise ConfigurationError("need at least 20 reference rows")
     rng = np.random.default_rng(seed)
-    qs = np.percentile(reference, [lower[0], lower[1], upper[0], upper[1]],
-                       axis=0)  # (4, D)
+    qs = np.percentile(reference, TAIL_PERCENTILES, axis=0)  # (4, D)
     if np.any(reference.max(axis=0) == reference.min(axis=0)):
         raise ConfigurationError("degenerate dimension: all values equal")
     pick_upper = rng.random((count, d)) < 0.5

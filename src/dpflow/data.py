@@ -110,10 +110,6 @@ def _parse_rows(path, rows, has_header):
         if len(row) != width:
             raise ConfigurationError(
                 f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        pass
     data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
@@ -162,13 +158,6 @@ def standardize(dataset: Dataset) -> Dataset:
         raise ConfigurationError(f"column {bad} is constant")
     return Dataset((X - mean) / std, columns=dataset.columns,
                    standardization=Standardization(mean, std))
-
-
-def unstandardize(dataset: Dataset) -> Dataset:
-    if dataset.standardization is None:
-        raise ConfigurationError("dataset carries no standardization record")
-    rec = dataset.standardization
-    return Dataset(dataset.X * rec.std + rec.mean, columns=dataset.columns)
 
 
 def make_cv_splits(n: int, folds: int = 10, seed=0):

@@ -10,7 +10,8 @@ class NonFiniteInputError(DpflowError, ValueError):
 
 
 class ConfigurationError(DpflowError, ValueError):
-    """A parameter value violates a documented constraint."""
+    """A parameter value violates a documented constraint, or an input
+    array has the wrong shape or dimension."""
 
 
 class NumericalOverflowError(DpflowError, ArithmeticError):
@@ -23,8 +24,5 @@ class NumericalOverflowError(DpflowError, ArithmeticError):
 
 
 class TrainingInstabilityError(DpflowError, ArithmeticError):
-    """Gradient computation produced non-finite entries."""
-
-    def __init__(self, message, layer_index=None):
-        super().__init__(message)
-        self.layer_index = layer_index
+    """Gradient computation produced non-finite entries, or training met
+    more consecutive non-finite batches than it tolerates."""

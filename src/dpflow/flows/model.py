@@ -168,7 +168,8 @@ class FlowModel:
 
     def _check_input(self, x):
         """Rows as an (n, D) array (a stack: (k, m, D)), and whether x was
-        one point (D,)."""
+        one point (D,). A wrong shape or dimension raises
+        ConfigurationError, a NaN or infinity NonFiniteInputError."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
@@ -176,10 +177,10 @@ class FlowModel:
         if pts.ndim != len(lead) + 2 or pts.shape[:len(lead)] != lead:
             want = "(n, D)" if self.members is None \
                 else f"({self.members}, m, D)"
-            raise NonFiniteInputError(
+            raise ConfigurationError(
                 f"expected rows of shape {want}, got {pts.shape}")
         if pts.shape[-1] != self.dim:
-            raise NonFiniteInputError(
+            raise ConfigurationError(
                 f"input dimension {pts.shape[-1]} != model dimension {self.dim}")
         if not np.all(np.isfinite(pts)):
             raise NonFiniteInputError("input contains non-finite values")

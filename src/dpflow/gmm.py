@@ -138,12 +138,11 @@ def _kmeanspp_centers(X: np.ndarray, m: int, rng) -> np.ndarray:
     return np.array(centers)
 
 
-def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0,
-               variance_floor: float = VARIANCE_FLOOR):
+def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
     """Fit a diagonal-covariance mixture by EM with k-means++ seeding.
 
     Returns (GmmParams, per-iteration mean log-likelihoods). The likelihood
-    trace is nondecreasing except when the variance floor or an empty-cluster
+    trace is nondecreasing except when ``VARIANCE_FLOOR`` or an empty-cluster
     reseed intervenes. Both steps work on component-major (M, n) arrays; the
     M-step variances are sum_n r_mn (x_nd - mean_md)^2 / sum_n r_mn, one
     coordinate at a time. ``n_components < 1`` or ``n_iters < 0`` raises
@@ -161,7 +160,7 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0,
     rng = np.random.default_rng(seed)
 
     means = _kmeanspp_centers(X, n_components, rng)
-    variances = np.tile(np.maximum(X.var(axis=0), variance_floor),
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR),
                         (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
@@ -181,10 +180,10 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0,
             np.subtract(X[:, k], means[nonempty, k, None], out=rows)
             rows *= rows
             variances[nonempty, k] = np.maximum(
-                np.einsum("mn,mn->m", r, rows) / c, variance_floor)
+                np.einsum("mn,mn->m", r, rows) / c, VARIANCE_FLOOR)
         for m_idx in np.flatnonzero(empty):
             means[m_idx] = X[rng.integers(n)]
-            variances[m_idx] = variance_floor
+            variances[m_idx] = VARIANCE_FLOOR
             counts[m_idx] = 1.0  # ~1/n weight, enough to recapture a point
         weights = counts / counts.sum()
 

@@ -21,14 +21,13 @@ from .flows import ACTNORM_SCALE_FLOOR, ActNormLayer, FlowModel, push_rows
 
 @dataclass
 class InitConfig:
+    """Settings of the private init; the per-coordinate sensitivities over
+    n rows are c/n (mean) and c/sqrt(n) (std), c = ``clip_range``."""
+
     clip_range: float = 20.0      # features clipped to [-clip_range/2, +clip_range/2]
     epsilon: float = 1.0
     delta: float = 1e-5
     seed: int = 0
-    # Replace-one sensitivities of the clipped statistics over n points in a
-    # width-c range; set to None to use the c/n and c/sqrt(n) defaults.
-    mean_sensitivity: float | None = None
-    std_sensitivity: float | None = None
 
     def validate(self):
         if self.clip_range <= 0:
@@ -66,12 +65,11 @@ def dp_nf_init(X, model: FlowModel, config: InitConfig) -> FlowModel:
         raise ConfigurationError("model has no actnorm layers to initialize")
 
     half = config.clip_range / 2.0
-    d_mean = (config.mean_sensitivity if config.mean_sensitivity is not None
-              else config.clip_range / n)
-    d_std = (config.std_sensitivity if config.std_sensitivity is not None
-             else config.clip_range / math.sqrt(n))
-    scale_mean = laplace_init_scale(n_layers, config.delta, d_mean, config.epsilon)
-    scale_std = laplace_init_scale(n_layers, config.delta, d_std, config.epsilon)
+    scale_mean = laplace_init_scale(n_layers, config.delta,
+                                    config.clip_range / n, config.epsilon)
+    scale_std = laplace_init_scale(n_layers, config.delta,
+                                   config.clip_range / math.sqrt(n),
+                                   config.epsilon)
 
     seq = np.random.SeedSequence(config.seed)
     streams = iter(seq.spawn(2 * n_layers))

@@ -21,9 +21,17 @@ from .errors import (ConfigurationError, NumericalOverflowError,
                      TrainingInstabilityError)
 from .flows import FlowModel
 
+# Adam moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Consecutive non-finite batches tolerated before training gives up.
+MAX_BAD_BATCHES = 20
+
 
 @dataclass
 class TrainConfig:
+    """Settings of one noisy training run; Adam's constants and the
+    non-finite batch tolerance are module constants."""
+
     learning_rate: float = 1e-4
     batch_size: int = 256
     noise_multiplier: float = 1.1
@@ -32,13 +40,9 @@ class TrainConfig:
     delta: float = 1e-5
     accountant: str = "gdp"          # "rdp" | "gdp"
     optimizer: str = "adam"          # "sgd" | "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_steps: int = 1_000_000
     seed: int = 0
     sampling: str = "uniform"        # "uniform" | "poisson"
-    max_bad_batches: int = 20        # consecutive non-finite batches tolerated
     eval_every: int = 500
 
     def validate(self):
@@ -131,16 +135,16 @@ def apply_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
     #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
     #   params -= lr m_hat / (sqrt(v_hat) + eps)
     # so the floats are identical.
-    state.m *= config.beta1
-    state.m += np.multiply(grad, 1 - config.beta1, out=a)
-    state.v *= config.beta2
-    np.multiply(grad, 1 - config.beta2, out=a)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(grad, 1 - ADAM_BETA1, out=a)
+    state.v *= ADAM_BETA2
+    np.multiply(grad, 1 - ADAM_BETA2, out=a)
     state.v += np.multiply(a, grad, out=a)
-    np.divide(state.m, 1 - config.beta1 ** t, out=a)
+    np.divide(state.m, 1 - ADAM_BETA1 ** t, out=a)
     a *= config.learning_rate
-    np.divide(state.v, 1 - config.beta2 ** t, out=b)
+    np.divide(state.v, 1 - ADAM_BETA2 ** t, out=b)
     np.sqrt(b, out=b)
-    b += config.adam_eps
+    b += ADAM_EPS
     params -= np.divide(a, b, out=a)
 
 
@@ -214,7 +218,7 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
             # though the update is dropped.
             report.skipped_batches += 1
             bad_streak += 1
-            if bad_streak > config.max_bad_batches:
+            if bad_streak > MAX_BAD_BATCHES:
                 raise TrainingInstabilityError(
                     f"{bad_streak} consecutive non-finite batches")
             continue

@@ -1,0 +1,67 @@
+"""The names and settings the benchmark in ``perfbench/`` relies on.
+
+The benchmark patches dpflow entry points by name for its traced run and
+builds training and init configs with fixed keywords. This reads those
+files (it changes nothing there) and checks, in well under a second, that
+every patched attribute exists and every config it builds constructs, so a
+rename or a dropped keyword fails here before a multi-minute smoke run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from dpflow.initialization import InitConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench_module(name):
+    """Import ``perfbench/<name>.py``, registered in ``sys.modules`` before
+    it runs so that its dataclasses can resolve their module."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_bench_module("workloads")
+
+
+def test_every_patched_attribute_exists(tracing):
+    table = tracing._patch_table()
+    assert table
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in table if attr not in vars(owner)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["moons_gdp", "pinwheel_gmm_rdp"])
+def test_training_configs_construct(workloads, tmp_path, name):
+    run = SimpleNamespace(sizes=workloads.FULL, work=tmp_path, seed=7)
+    config = workloads.make(name, run).config(0)
+    config.validate()
+    assert config.max_steps == workloads.FULL.train_steps
+
+
+def test_init_config_constructs(workloads):
+    InitConfig(seed=0, **workloads.INIT).validate()

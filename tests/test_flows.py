@@ -204,6 +204,17 @@ class TestLogProb:
         with pytest.raises(NonFiniteInputError):
             model.log_prob(np.array([np.nan, 0.0]))
 
+    def test_wrong_shape_is_configuration_error(self):
+        """A wrong dimension or shape is a configuration fault, not bad
+        values: ConfigurationError, with the value check never reached."""
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        for bad in (np.zeros((3, 3)), np.full((3, 3), np.nan),
+                    np.zeros((2, 3, 2)), np.zeros(3)):
+            with pytest.raises(ConfigurationError):
+                model.log_prob(bad)
+            with pytest.raises(ConfigurationError):
+                model.transform_to_base(bad)
+
     def test_overflow_names_layer(self):
         model = build_maf(2, n_blocks=2, hidden=4, seed=0)
         # Force an in-layer overflow: a huge shift head turns mu into inf,
@@ -970,9 +981,9 @@ class TestStack:
         stack = FlowModel.stack([plain, plain])
         for bad in (np.zeros((3, 2)), np.zeros((3, 4, 2)),
                     np.zeros((2, 4, 3)), np.zeros((1, 2, 4, 2))):
-            with pytest.raises(NonFiniteInputError):
+            with pytest.raises(ConfigurationError):
                 stack.clipped_grad_sum(bad, 1.0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(ConfigurationError):
             plain.clipped_grad_sum(np.zeros((2, 4, 2)), 1.0)
         with pytest.raises(ConfigurationError):
             plain.member(0)

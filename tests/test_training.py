@@ -7,9 +7,9 @@ from dpflow.accounting import Accountant, steps_for_budget
 from dpflow.data import gen_half_moons, standardize
 from dpflow.errors import ConfigurationError
 from dpflow.flows import FlowModel, build_maf
-from dpflow.training import (OptimizerState, TrainConfig, _draw_batch,
-                             apply_update, noisy_mean, train_dp_nf,
-                             train_flow)
+from dpflow.training import (MAX_BAD_BATCHES, OptimizerState, TrainConfig,
+                             _draw_batch, apply_update, noisy_mean,
+                             train_dp_nf, train_flow)
 
 from test_flows import example_grad
 
@@ -96,14 +96,16 @@ def noisy_mean_oracle(total, clip_norm, noise_multiplier, rng, denominator):
 
 def adam_oracle(params, grad, m, v, t, config):
     """The allocating Adam step ``apply_update`` must reproduce bit for
-    bit; updates ``params``, ``m`` and ``v``."""
-    m *= config.beta1
-    m += (1 - config.beta1) * grad
-    v *= config.beta2
-    v += (1 - config.beta2) * grad * grad
-    m_hat = m / (1 - config.beta1 ** t)
-    v_hat = v / (1 - config.beta2 ** t)
-    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    bit; updates ``params``, ``m`` and ``v``. The Adam constants are
+    written out, so a changed module constant fails the comparison."""
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad * grad
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
 
 
 class TestNoisyMean:
@@ -353,13 +355,21 @@ class TestTrainDpNf:
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
         model.layers[0].b2[:] = 1.0
         model.layers[0].Wm[:] = 1e308  # every batch overflows
-        cfg = TrainConfig(epsilon=5.0, batch_size=16, max_steps=100, seed=0,
-                          max_bad_batches=5)
+        cfg = TrainConfig(epsilon=5.0, batch_size=16, max_steps=100, seed=0)
+        drawn = []
+        grad_sum = model.clipped_grad_sum
+
+        def counted(batch, clip_norm):
+            drawn.append(len(batch))
+            return grad_sum(batch, clip_norm)
+
+        model.clipped_grad_sum = counted
         from dpflow.errors import TrainingInstabilityError
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingInstabilityError):
                 train_dp_nf(X, model, cfg,
                             accountant=StubAccountant(lambda t: 0.01 * t))
+        assert drawn == [16] * (MAX_BAD_BATCHES + 1)
 
     def test_checkpoint_epsilons_nondecreasing(self):
         X = tiny_dataset()
