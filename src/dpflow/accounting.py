@@ -91,7 +91,13 @@ def gdp_mu(t: int, q: float, sigma: float) -> float:
         raise ConfigurationError("noise multiplier must be positive")
     if t < 0:
         raise ConfigurationError("step count must be nonnegative")
-    return q * math.sqrt(t * math.expm1(1.0 / (sigma * sigma)))
+    if t == 0:
+        return 0.0
+    try:
+        growth = math.expm1(1.0 / (sigma * sigma))
+    except (OverflowError, ZeroDivisionError):
+        growth = math.inf  # sigma so small that mu has no finite value
+    return q * math.sqrt(t * growth)
 
 
 def gdp_delta_for_eps(mu: float, eps: float) -> float:

@@ -24,16 +24,25 @@ from .initialization import InitConfig, dp_nf_init
 from .training import TrainConfig, train_dp_nf
 
 
-def _check_json_type(path, option, value):
-    """Click's INT and FLOAT types would cast a JSON number or bool from a
-    config file (``10.7`` to 10, ``true`` to 1); an int option accepts
-    neither a JSON float nor a bool, and a float option no bool."""
-    if isinstance(option.type, click.types.IntParamType):
+def _check_json_type(path, option, value, required):
+    """Click's types would cast config-file values the command line cannot
+    give: a flag accepts only a JSON bool, an int option no JSON float or
+    bool (``10.7`` would become 10, ``true`` 1), a float option no bool, and
+    no option an array or an object. ``null`` leaves an option unset, so it
+    is accepted only where the option has no default and the command does
+    not require it."""
+    if value is None:
+        bad = option.default is not None or option.name in required
+    elif isinstance(value, (list, dict)):
+        bad = True
+    elif isinstance(option.type, click.types.BoolParamType):
+        bad = not isinstance(value, bool)
+    elif isinstance(option.type, click.types.IntParamType):
         bad = isinstance(value, (bool, float))
     elif isinstance(option.type, click.types.FloatParamType):
         bad = isinstance(value, bool)
     else:
-        return
+        bad = False
     if bad:
         raise ConfigurationError(
             f"{path}: {option.name}: expected {option.type.name}, "
@@ -64,7 +73,7 @@ def _resolve(ctx: click.Context, *required: str) -> dict:
                 continue
             src = ctx.get_parameter_source(name)
             if src is not None and src.name != "COMMANDLINE":
-                _check_json_type(path, options[name], value)
+                _check_json_type(path, options[name], value, required)
                 try:
                     params[name] = options[name].type_cast_value(ctx, value)
                 except click.BadParameter as exc:
@@ -116,7 +125,8 @@ def _common_options(fn):
                       help="JSON config file (or manifest); flags override it.")(fn)
     fn = click.option("--manifest", type=click.Path(), default=None,
                       help="Manifest output path.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
+    fn = click.option("--seed", type=click.IntRange(min=0), default=0,
+                      show_default=True)(fn)
     return fn
 
 
@@ -216,6 +226,9 @@ def gen_data(ctx, **_):
 def train(ctx, **_):
     """Train a flow privately on a CSV dataset (budget-gated)."""
     cfg = _resolve(ctx, "data", "out")
+    if not 0.0 <= cfg["holdout_frac"] < 1.0:
+        raise ConfigurationError(
+            f"--holdout-frac must be in [0, 1), got {cfg['holdout_frac']}")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     if cfg["do_standardize"]:
         ds = dt.standardize(ds)

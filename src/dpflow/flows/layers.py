@@ -7,8 +7,12 @@ together with log|det d(out)/d(in)| per example; ``inverse`` runs the
 sampling direction. ``forward_cache``/``backward_pieces`` run reverse-mode
 accumulation down to per-example gradient factors, from which
 ``pieces_sq_norms`` and ``pieces_weighted_sum`` form the clipped batch
-gradient without materializing per-example gradients. A MADE layer forms its
-masked weights once per ``forward``, ``inverse`` or ``forward_cache`` call;
+gradient without materializing per-example gradients:
+``pieces_weighted_sum`` writes each tensor's sum with its matmul into a given
+array (the model passes views into one flat gradient) and skips the scaling
+when every weight is 1. The MADE norms go through the degree groups of the
+hidden units instead of the (H, H) mask. A MADE layer forms its masked
+weights once per ``forward``, ``inverse`` or ``forward_cache`` call;
 ``forward_cache`` carries them in its cache for ``backward_pieces``.
 
 A layer's trainable tensors are the attributes named in ``tensor_names``.
@@ -22,8 +26,9 @@ The MADE gradient kernels (``forward_cache``, ``backward_pieces``,
 layer take either shape. They are written so that slice j of a stacked
 result has the bytes of the 2-D call on member j: batched matmuls against
 ``.mT``, biases added as ``b[..., None, :]``, reductions over ``axis=-1``,
-an ``...ij`` einsum for row dot products, and each bias sum as a (1, m) by
-(m, width) matmul. ``inverse`` and the actnorm layer are 2-D only.
+an ``...ij`` einsum for row dot products, row sums as a matmul against a
+ones column, a cumulative sum over ``axis=-1``, and each bias sum as a
+(1, m) by (m, width) matmul. ``inverse`` and the actnorm layer are 2-D only.
 """
 
 from __future__ import annotations
@@ -108,6 +113,12 @@ class MadeLayer(_ParamTensors):
         self.hidden = hidden
         self.s_max = float(s_max)
         self.m1, self.m2, self.m_out = made_masks(dim, hidden)
+        # One-hot (H, #degrees) of the hidden degrees, in increasing degree,
+        # and an (H, 1) ones column: ``pieces_sq_norms`` reads h1 through
+        # the degree groups and takes row sums as matmuls.
+        _, deg_h = made_degrees(dim, hidden)
+        self.degree_groups = (deg_h[:, None] == np.unique(deg_h)).astype(float)
+        self.ones_h = np.ones((hidden, 1))
         rng = np.random.default_rng(rng)
         # Fan-in scaled trunk; zeroed heads make the layer start as the
         # identity map, which keeps early noisy training stable.
@@ -187,27 +198,48 @@ class MadeLayer(_ParamTensors):
         """Per-example squared gradient norm over this layer's parameters.
 
         For a masked outer product, sum_{oi} (out_o act_i M_oi)^2 =
-        sum_o out_o^2 [(act^2) @ M.T]_o since M is binary; the bias gradient
-        out_o adds out_o^2, folded in as +1. Both heads read h2 through
-        m_out, so they share one product.
+        sum_i act_i^2 [(out^2) @ M]_i = sum_o out_o^2 [(act^2) @ M.T]_o since
+        M is binary; a bias gradient out_o adds out_o^2. The trunk terms use
+        the MADE degrees: W1 takes the first form, (m, H) @ (H, D) with the
+        b1 row sum as a matmul against a ones column. m2[o, i] is
+        [deg_i <= deg_o], so (h1^2) @ m2.T is a cumulative sum of h1^2 over
+        the degree groups, read back per unit through the one-hot G: the
+        W2 and b2 term is row_dot((dz2^2) @ G, cumsum((h1^2) @ G) + 1). Both
+        heads read h2 through m_out, so they share one (m, D) product. The
+        four (m, H) squares share one buffer, which stays in cache.
         """
         x, h1, h2, dz1, dz2, dmu, draw = pieces
-        total = _row_dot(dz1 * dz1, (x * x) @ self.m1.T + 1.0)
-        total += _row_dot(dz2 * dz2, (h1 * h1) @ self.m2.T + 1.0)
+        groups = self.degree_groups
+        sq = np.multiply(dz1, dz1)
+        total = _row_dot(sq @ self.m1, x * x)
+        total += (sq @ self.ones_h)[..., 0]
+        below = np.cumsum(np.multiply(h1, h1, out=sq) @ groups, axis=-1)
+        below += 1.0
+        total += _row_dot(np.multiply(dz2, dz2, out=sq) @ groups, below)
         total += _row_dot(dmu * dmu + draw * draw,
-                          (h2 * h2) @ self.m_out.T + 1.0)
+                          np.multiply(h2, h2, out=sq) @ self.m_out.T + 1.0)
         return total
 
-    def pieces_weighted_sum(self, pieces, weights):
+    def pieces_weighted_sum(self, pieces, weights, out=None):
         """sum_m weights[m] * grad_m per tensor, without materializing the
-        per-example gradients."""
-        _, _, _, dz1, dz2, dmu, draw = pieces
-        sums = [((out * weights[..., None]).mT @ act) * mask
-                for out, act, mask in self._factor_triples(pieces)]
+        per-example gradients. Each sum is written by its matmul into
+        ``out``, arrays shaped like the layer's tensors (new ones when
+        None), which is returned. When every weight is exactly 1 the
+        factors are used unscaled: x * 1.0 == x, so the sums keep their
+        bytes."""
+        if out is None:
+            out = [np.empty_like(t) for t in self.param_tensors()]
+        unit = np.all(weights == 1.0)
+        for (factor, act, mask), dest in zip(self._factor_triples(pieces),
+                                             out):
+            if not unit:
+                factor = factor * weights[..., None]
+            np.matmul(factor.mT, act, out=dest)
+            dest *= mask
         row = weights[..., None, :]
-        sums.extend((row @ factor)[..., 0, :]
-                    for factor in (dz1, dz2, dmu, draw))
-        return sums
+        for factor, dest in zip(pieces[3:], out[4:]):
+            np.matmul(row, factor, out=dest[..., None, :])
+        return out
 
     def inverse(self, u):
         """Sequential inversion: coordinate i needs only coordinates < i,
@@ -290,9 +322,12 @@ class ActNormLayer(_ParamTensors):
         dw, db = pieces
         return np.sum(dw * dw + db * db, axis=1)
 
-    def pieces_weighted_sum(self, pieces, weights):
-        dw, db = pieces
-        return [weights @ dw, weights @ db]
+    def pieces_weighted_sum(self, pieces, weights, out=None):
+        if out is None:
+            out = [np.empty(self.dim), np.empty(self.dim)]
+        for factor, dest in zip(pieces, out):
+            np.matmul(weights, factor, out=dest)
+        return out
 
     def inverse(self, u):
         self._check_scale()
@@ -325,7 +360,7 @@ class ReversalLayer(_ParamTensors):
     def pieces_sq_norms(self, pieces):
         return 0.0
 
-    def pieces_weighted_sum(self, pieces, weights):
+    def pieces_weighted_sum(self, pieces, weights, out=None):
         return []
 
     def inverse(self, u):

@@ -2,11 +2,14 @@
 
 Exact log-density via the change of variables, seeded sampling through the
 layer inverses (both pass large batches through the stack in fixed row
-blocks, ``push_rows``), and the clipped sum of per-example parameter gradients by
-reverse-mode accumulation. All trainable scalars live in one flat float64
-buffer, ``FlowModel.params``, in a canonical layout (layer order, weights
-before biases within a layer, row-major); each layer tensor is a view into
-it, so optimizers update the model by writing that buffer in place.
+blocks, ``push_rows``), and the clipped sum of per-example parameter
+gradients by reverse-mode accumulation, written into a new flat gradient
+laid out like the parameters (at clip = inf, layer by layer on the reverse
+pass, so each layer's cache is dropped as soon as it is used). All
+trainable scalars live in one flat float64 buffer, ``FlowModel.params``, in
+a canonical layout (layer order, weights before biases within a layer,
+row-major); each layer tensor is a view into it, so optimizers update the
+model by writing that buffer in place.
 
 ``FlowModel.stack`` joins k flows of one architecture into a model with a
 leading member axis: every layer tensor is the members' tensors stacked
@@ -72,16 +75,26 @@ class FlowModel:
     def _bind_params(self):
         """Move every layer tensor into one new buffer ``params`` and rebind
         it to a view, so that an in-place update of ``params`` is the model
-        update."""
-        self.params = np.empty(self.n_params)
-        offset = 0
+        update. Records each tensor's (start, stop, shape) in ``params``."""
+        self._spans, offset = [], 0
         for layer in self.layers:
-            for name, tensor in zip(layer.tensor_names, layer.param_tensors()):
-                view = self.params[offset:offset + tensor.size].reshape(
-                    tensor.shape)
+            self._spans.append([])
+            for tensor in layer.param_tensors():
+                self._spans[-1].append(
+                    (offset, offset + tensor.size, tensor.shape))
+                offset += tensor.size
+        self.params = np.empty(self.n_params)
+        for layer, views in zip(self.layers, self._tensor_views(self.params)):
+            for name, view, tensor in zip(layer.tensor_names, views,
+                                          layer.param_tensors()):
                 view[...] = tensor
                 setattr(layer, name, view)
-                offset += tensor.size
+
+    def _tensor_views(self, buffer):
+        """Per layer, views into the flat ``buffer`` shaped like that layer's
+        tensors, in the canonical layout of ``params``."""
+        return [[buffer[start:stop].reshape(shape)
+                 for start, stop, shape in spans] for spans in self._spans]
 
     @classmethod
     def stack(cls, models) -> "FlowModel":
@@ -218,10 +231,11 @@ class FlowModel:
         return z
 
     def nll(self, batch) -> float:
-        """Mean negative log-likelihood of a batch."""
+        """Mean negative log-likelihood of a batch; an empty batch raises
+        ConfigurationError."""
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
         if batch.shape[0] == 0:
-            raise NonFiniteInputError("empty batch")
+            raise ConfigurationError("empty batch")
         return float(-np.mean(self.log_prob(batch)))
 
     # -- gradients ----------------------------------------------------------
@@ -232,10 +246,17 @@ class FlowModel:
         gradient matrix. With ``clip_norm=np.inf`` and one row this is that
         row's exact gradient of -log p.
 
-        Returns (losses (m,), summed gradient (P,), per-example norms (m,)).
-        A stacked model takes (k, m, D) rows, member j's batch in slice j,
-        and returns losses and norms of shape (k, m) and the k members'
-        summed gradients in one vector laid out like ``params``.
+        Returns (losses (m,), summed gradient (P,), per-example norms (m,));
+        each call returns a new gradient array. A stacked model takes
+        (k, m, D) rows, member j's batch in slice j, and returns losses and
+        norms of shape (k, m) and the k members' summed gradients in one
+        vector laid out like ``params``.
+
+        Each layer's factors are formed on the reverse pass, and its share of
+        the squared norms right after. At ``clip_norm=np.inf`` every clipping
+        weight is 1 before any norm is known, so each layer also writes its
+        weighted sum there and its cache and factors are dropped at once;
+        otherwise the sums follow once the norms give the weights.
         """
         pts, _ = self._check_input(x)
         rows = pts.shape[:-1]
@@ -250,18 +271,28 @@ class FlowModel:
         losses = -(log_base + total)
         du = -grad_base
         dld = -np.ones(rows)
+        out = np.empty(self.n_params)
+        views = self._tensor_views(out)
+        weights = np.ones(rows) if clip_norm == np.inf else None
         pieces = [None] * len(self.layers)
+        sq_parts = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            du, pieces[i] = self.layers[i].backward_pieces(caches[i], du, dld)
+            layer = self.layers[i]
+            du, p = layer.backward_pieces(caches.pop(), du, dld)
+            sq_parts[i] = layer.pieces_sq_norms(p)
+            if weights is None:
+                pieces[i] = p
+            else:
+                layer.pieces_weighted_sum(p, weights, views[i])
 
         sq = np.zeros(rows)
-        for layer, p in zip(self.layers, pieces):
-            sq = sq + layer.pieces_sq_norms(p)
+        for part in sq_parts:
+            sq = sq + part
         norms = np.sqrt(sq)
-        factors = 1.0 / np.maximum(1.0, norms / clip_norm)
-        sums = [tensor.ravel() for layer, p in zip(self.layers, pieces)
-                for tensor in layer.pieces_weighted_sum(p, factors)]
-        out = np.concatenate(sums) if sums else np.zeros(0)
+        if weights is None:
+            weights = 1.0 / np.maximum(1.0, norms / clip_norm)
+            for layer, p, view in zip(self.layers, pieces, views):
+                layer.pieces_weighted_sum(p, weights, view)
         if not (np.all(np.isfinite(out)) and np.all(np.isfinite(norms))):
             raise TrainingInstabilityError("non-finite gradient in batch")
         return losses, out, norms

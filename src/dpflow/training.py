@@ -12,6 +12,7 @@ consulted again only at checkpoints and at the end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +47,27 @@ class TrainConfig:
     eval_every: int = 500
 
     def validate(self):
-        if self.learning_rate <= 0 or self.clip_norm <= 0 or self.batch_size < 1:
-            raise ConfigurationError("rates, clip norm and batch size must be positive")
-        if self.noise_multiplier < 0:
-            raise ConfigurationError("noise multiplier must be nonnegative")
+        """Raise ConfigurationError, naming the field, for a setting no run
+        can use. Each number check is written so that NaN fails it."""
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.noise_multiplier < math.inf:
+            raise ConfigurationError(
+                "noise_multiplier must be nonnegative and finite, "
+                f"got {self.noise_multiplier}")
+        if not self.epsilon > 0.0:
+            raise ConfigurationError(
+                f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must be in (0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon budget must be positive")
+            raise ConfigurationError(
+                f"delta must be in (0, 1), got {self.delta}")
+        for name in ("batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.sampling not in ("uniform", "poisson"):

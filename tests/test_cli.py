@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpflow import anomaly as ad
 from dpflow import data as dt
@@ -287,13 +288,21 @@ def test_logprob_malformed_csv_exit_code(query_model, tmp_path, capsys, raw):
     '{"shape": "half-moons", "n": 10.7}',
     '{"shape": "half-moons", "n": 10, "seed": true}',
     '{"epsilon": true}',
+    '{"shape": "half-moons", "n": [1, 2]}',
+    '{"shape": "half-moons", "n": {"rows": 10}}',
+    '{"shape": "half-moons", "n": null}',
+    '{"shape": "half-moons", "n": 10, "seed": null}',
+    '{"delta": [0.1]}',
+    '{"shape": "half-moons", "n": 10, "seed": -1}',
 ], ids=["invalid_json", "top_level_list", "bad_int", "bad_choice",
-        "float_for_int", "bool_for_int", "bool_for_float"])
+        "float_for_int", "bool_for_int", "bool_for_float", "array_for_int",
+        "object_for_int", "null_for_required", "null_for_default",
+        "array_for_float", "negative_seed"])
 def test_bad_config_file_exit_code(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "rows.csv"
-    if "epsilon" in text:  # a float option: train has one
+    if "epsilon" in text or "delta" in text:  # float options: train has them
         data = tmp_path / "data.csv"
         data.write_text("0.0,0.0\n1.0,1.0\n")
         argv = ["train", "--data", str(data)]
@@ -317,6 +326,51 @@ def test_config_file_numbers_of_option_type_accepted(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 12
 
 
+# Any JSON value: scalars of every type (NaN and infinities included),
+# strings, arrays and objects. Integers stay small, since a valid size runs.
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+# Base config of each command; the test replaces one option under it.
+# Path options are left out: any string there names a file to write.
+CONFIG_BASES = {
+    "gen-data": {"shape": "half-moons", "n": 20},
+    "train": {"batch_size": 8, "max_steps": 3, "epsilon": 10.0,
+              "blocks": 1, "hidden": 4, "eval_every": 2},
+}
+CONFIG_KEYS = [("gen-data", key) for key in
+               ("shape", "n", "noise_std", "arms", "seed")] + \
+    [("train", key) for key in
+     ("epsilon", "delta", "sigma", "clip", "batch_size", "lr", "optimizer",
+      "accountant", "sampling", "max_steps", "eval_every", "blocks",
+      "hidden", "actnorm", "base", "gmm_components", "gmm_iters",
+      "holdout_frac", "do_standardize", "has_header", "seed")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CONFIG_KEYS), value=CONFIG_VALUES)
+def test_config_value_exit_code(small_data, tmp_path, capsys, case, value):
+    """Any JSON value under a known option of a config file: the command
+    runs (exit 0) or refuses it with an ``error:`` line (exit 1), never a
+    traceback."""
+    command, key = case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG_BASES[command], key: value}))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--manifest", str(tmp_path / "manifest.json")]
+    if command == "train":
+        argv += ["--data", str(small_data)]
+    code, err = run_main(argv, capsys)
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--base", "gmm", "--gmm-components", "0"],
     ["--base", "gmm", "--gmm-components", "-2"],
@@ -327,6 +381,25 @@ def test_bad_mixture_size_exit_code(small_data, tmp_path, capsys, extra):
     code, err = run_main(train_args(small_data, model) + extra, capsys)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "nan", "epsilon"), ("--clip", "nan", "clip_norm"),
+    ("--clip", "inf", "clip_norm"), ("--sigma", "inf", "noise_multiplier"),
+    ("--lr", "inf", "learning_rate"), ("--eval-every", "0", "eval_every"),
+    ("--holdout-frac", "1.5", "--holdout-frac"),
+    ("--sigma", "0.03", "epsilon exceeds"),
+])
+def test_bad_train_setting_exit_code(small_data, tmp_path, capsys, flag,
+                                     value, message):
+    """A setting no run can use exits 1 with an ``error:`` line naming it,
+    and writes no model."""
+    model = tmp_path / "model.json"
+    code, err = run_main(train_args(small_data, model) + [flag, value],
+                         capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
     assert not model.exists()
 
 

@@ -12,7 +12,7 @@ from dpflow.errors import (ConfigurationError, NonFiniteInputError,
                            NumericalOverflowError)
 from dpflow.flows import (BLOCK_ROWS, ActNormLayer, FlowModel, GmmBase,
                           MadeLayer, ReversalLayer, SphericalGaussian,
-                          build_maf, made_masks)
+                          build_maf, made_degrees, made_masks)
 from dpflow.gmm import GmmParams
 from dpflow.initialization import InitConfig, dp_nf_init
 from dpflow.training import (OptimizerState, TrainConfig, apply_update,
@@ -266,8 +266,12 @@ def made_kernel_oracle(layer, x, du, dld, weights):
     dz1 = dh1 * r1
     dx = du * eneg + dz1 @ (layer.W1 * layer.m1)
     row_dot = lambda a, b: np.einsum("ij,ij->i", a, b)  # noqa: E731
-    sq = row_dot(dz1 * dz1, (x * x) @ layer.m1.T + 1.0)
-    sq += row_dot(dz2 * dz2, (h1 * h1) @ layer.m2.T + 1.0)
+    _, deg_h = made_degrees(layer.dim, layer.hidden)
+    groups = (deg_h[:, None] == np.unique(deg_h)[None, :]).astype(float)
+    a = dz1 * dz1
+    sq = row_dot(a @ layer.m1, x * x) + (a @ np.ones((layer.hidden, 1)))[:, 0]
+    sq += row_dot((dz2 * dz2) @ groups,
+                  np.cumsum((h1 * h1) @ groups, axis=1) + 1.0)
     sq += row_dot(dmu * dmu + draw * draw, (h2 * h2) @ layer.m_out.T + 1.0)
     sums = [((out * weights[:, None]).T @ act) * mask
             for out, act, mask in ((dz1, x, layer.m1), (dz2, h1, layer.m2),
@@ -514,7 +518,7 @@ class TestNll:
 
     def test_empty_batch(self):
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(ConfigurationError):
             model.nll(np.zeros((0, 2)))
 
 
@@ -602,8 +606,12 @@ class TestMadeSqNorms:
         """pieces_sq_norms equals the squared norm of each example's
         materialised masked weight and bias gradients."""
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+        # Random shapes, then widths below D - 1, where some of the degrees
+        # 1..D-1 have no hidden unit.
+        shapes = [(int(rng.integers(1, 6)), int(rng.integers(1, 20)))
+                  for _ in range(25)]
+        shapes += [(3, 1), (4, 1), (4, 2), (5, 3), (7, 2), (9, 5)]
+        for dim, hidden in shapes:
             m = int(rng.integers(1, 30))
             layer = MadeLayer(dim, hidden, s_max=float(rng.uniform(1, 5)),
                               rng=rng)
@@ -710,6 +718,98 @@ def test_clipped_sum_norm_bounded_property(case, b, clip, spread):
     _, total, norms = model.clipped_grad_sum(x, clip)
     assert norms.shape == (b,) and np.all(np.isfinite(norms))
     assert np.linalg.norm(total) <= b * clip * (1 + 1e-12)
+
+
+def two_phase_grad_sum(model, x, clip):
+    """Reference for the norms and gradient of ``clipped_grad_sum``: every
+    layer's factors kept to the end of the reverse pass, the squared norms
+    summed in layer order, then each clipping weight (at clip = inf, an
+    explicit 1) multiplied into its output factor and the tensor sums
+    concatenated in the layout of ``params``."""
+    z, caches = x, []
+    for layer in model.layers:
+        z, _, cache = layer.forward_cache(z)
+        caches.append(cache)
+    du = -model.base.log_prob_and_grad(z)[1]
+    dld = -np.ones(x.shape[:-1])
+    pieces = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        du, pieces[i] = model.layers[i].backward_pieces(caches[i], du, dld)
+    sq = np.zeros(x.shape[:-1])
+    for layer, p in zip(model.layers, pieces):
+        sq = sq + layer.pieces_sq_norms(p)
+    norms = np.sqrt(sq)
+    weights = 1.0 / np.maximum(1.0, norms / clip)
+    sums = []
+    for layer, p in zip(model.layers, pieces):
+        if isinstance(layer, MadeLayer):
+            x_in, h1, h2, dz1, dz2, dmu, draw = p
+            sums += [((out * weights[..., None]).mT @ act) * mask
+                     for out, act, mask in ((dz1, x_in, layer.m1),
+                                            (dz2, h1, layer.m2),
+                                            (dmu, h2, layer.m_out),
+                                            (draw, h2, layer.m_out))]
+            sums += [(weights[..., None, :] @ factor)[..., 0, :]
+                     for factor in (dz1, dz2, dmu, draw)]
+        elif isinstance(layer, ActNormLayer):
+            sums += [weights @ factor for factor in p]
+    return norms, np.concatenate([s.ravel() for s in sums])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(architectures(), st.sampled_from([np.inf, 1e3, 0.3]))
+def test_clipped_sum_bytes_match_two_phase_property(case, clip):
+    """At clip = inf the sums formed on the reverse pass have the bytes of
+    the two-phase path with explicit unit weights; at a finite clip, with
+    rows clipped or not, the bytes of the two-phase path. The norms keep
+    their bytes too."""
+    model, x = case
+    _, total, norms = model.clipped_grad_sum(x, clip)
+    want_norms, want_total = two_phase_grad_sum(model, x, clip)
+    assert norms.tobytes() == want_norms.tobytes()
+    assert total.tobytes() == want_total.tobytes()
+
+
+def grad_models():
+    """A plain model with actnorm blocks and a stack of three flows, each
+    with three MADE layers, and a batch for each."""
+    rng = np.random.default_rng(41)
+    plain = random_model(rng, dim=3, hidden=6, blocks=3, actnorm=True)
+    stack = FlowModel.stack(random_members(rng, 3, 3, 6, blocks=3))
+    return [(plain, rng.normal(size=(9, 3))),
+            (stack, rng.normal(size=(3, 9, 3)))]
+
+
+class TestClippedGradSumPasses:
+    @pytest.mark.parametrize("clip", [np.inf, 0.5])
+    def test_one_norm_and_one_sum_per_made_layer(self, monkeypatch, clip):
+        """Each MADE layer runs each gradient kernel once per call, at both
+        clip settings, so that both are timed on every workload."""
+        calls = []
+        for method in ("pieces_sq_norms", "pieces_weighted_sum"):
+            def counted(self, *args, _real=getattr(MadeLayer, method),
+                        _method=method):
+                calls.append((id(self), _method))
+                return _real(self, *args)
+            monkeypatch.setattr(MadeLayer, method, counted)
+        for model, x in grad_models():
+            calls.clear()
+            model.clipped_grad_sum(x, clip)
+            made = [id(layer) for layer in model.layers
+                    if isinstance(layer, MadeLayer)]
+            assert len(made) == 3
+            assert sorted(calls) == sorted(
+                (layer, method) for layer in made
+                for method in ("pieces_sq_norms", "pieces_weighted_sum"))
+
+    @pytest.mark.parametrize("clip", [np.inf, 0.5])
+    def test_each_call_returns_new_gradient(self, clip):
+        for model, x in grad_models():
+            _, first, _ = model.clipped_grad_sum(x, clip)
+            _, second, _ = model.clipped_grad_sum(x, clip)
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, model.params)
+            assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("case", ["s_max", "actnorm_scale", "gmm_mean",

@@ -243,6 +243,30 @@ def tiny_dataset(n=400, seed=0):
     return np.random.default_rng(seed).normal(size=(n, 2))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("epsilon", np.nan), ("epsilon", 0.0),
+    ("clip_norm", np.nan), ("clip_norm", np.inf), ("clip_norm", 0.0),
+    ("learning_rate", np.nan), ("learning_rate", np.inf),
+    ("learning_rate", -1e-3),
+    ("noise_multiplier", np.nan), ("noise_multiplier", np.inf),
+    ("noise_multiplier", -0.5),
+    ("delta", np.nan), ("delta", 1.0),
+    ("batch_size", 0), ("eval_every", 0),
+])
+def test_config_rejects_bad_number(name, value):
+    """A NaN, infinite or out-of-range setting is refused by name before
+    any step runs, instead of a 0-step or all-skipped run or a runtime
+    error that names nothing."""
+    config = TrainConfig(max_steps=5, **{name: value})
+    with pytest.raises(ConfigurationError, match=name):
+        config.validate()
+    model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+    before = model.params.copy()
+    with pytest.raises(ConfigurationError, match=name):
+        train_dp_nf(tiny_dataset(), model, config)
+    assert model.params.tobytes() == before.tobytes()
+
+
 class TestTrainDpNf:
     def test_immediate_halt_on_exhausted_budget(self):
         X = tiny_dataset()
