@@ -148,17 +148,16 @@ class Accountant:
     """Reusable accountant for a fixed (q, sigma, delta) training run.
 
     ``eps(t)`` is the budget spent after t steps; the per-step RDP curve is
-    precomputed once. The GDP path is the CLT-approximate composition
-    (reported as such in run metadata). The clipping norm does not appear:
-    noise is calibrated as sigma * C, so epsilon depends only on
-    (t, q, sigma, delta).
+    precomputed once, over the orders ``DEFAULT_ORDERS``. The GDP path is
+    the CLT-approximate composition (reported as such in run metadata). The
+    clipping norm does not appear: noise is calibrated as sigma * C, so
+    epsilon depends only on (t, q, sigma, delta).
     """
 
     method: str
     q: float
     sigma: float
     delta: float
-    orders: tuple = DEFAULT_ORDERS
     _step_curve: np.ndarray | None = field(default=None, init=False,
                                            repr=False)
 
@@ -166,13 +165,13 @@ class Accountant:
         if self.method not in ("rdp", "gdp"):
             raise ConfigurationError(f"unknown accountant method {self.method!r}")
         if self.method == "rdp":
-            self._step_curve = rdp_curve(self.q, self.sigma, self.orders)
+            self._step_curve = rdp_curve(self.q, self.sigma)
 
     def eps(self, t: int) -> float:
         if t == 0:
             return 0.0
         if self.method == "rdp":
-            return rdp_to_dp(self.orders, t * self._step_curve, self.delta)
+            return rdp_to_dp(DEFAULT_ORDERS, t * self._step_curve, self.delta)
         eps, _ = gdp_eps_for_delta(gdp_mu(t, self.q, self.sigma), self.delta)
         return eps
 

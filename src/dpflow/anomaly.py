@@ -2,11 +2,12 @@
 
 A single model classifies a point as in-distribution when its log-density
 exceeds a threshold. The private variant partitions the data and trains one
-non-private flow per part (``build_ensemble``); ``EnsembleDetector`` fits
-one threshold on the member scores pooled over labelled queries and counts,
-per query row, the members that vote "in". The caller releases each label
-from those counts with the binary exponential mechanism
-(``accounting.exp_mech_binary``, vectorised over the counts).
+non-private flow per part (``build_ensemble``); ``EnsembleDetector`` scores
+the queries once per member (``scores``), fits one threshold on those
+scores pooled over labelled queries and counts, per query row, the members
+that vote "in". The caller releases each label from those counts with the
+binary exponential mechanism (``accounting.exp_mech_binary``, vectorised
+over the counts).
 """
 
 from __future__ import annotations
@@ -112,19 +113,23 @@ class EnsembleDetector:
     def k(self) -> int:
         return len(self.models)
 
-    def fit_threshold(self, queries, labels) -> None:
-        """Set the threshold to the accuracy-maximizing cut for the member
-        scores of labelled queries, pooled over members (member-major, with
-        the labels tiled k times). Labels: 1 = in-distribution."""
-        scores = np.concatenate([m.log_prob(queries) for m in self.models])
-        self.threshold, _ = select_threshold(scores, np.tile(labels, self.k))
+    def scores(self, queries) -> np.ndarray:
+        """Member log-densities of the queries: (k, n) for a batch (n, D),
+        (k,) for one point (D,). One log_prob call per member."""
+        return np.array([m.log_prob(queries) for m in self.models])
 
-    def votes(self, queries):
-        """Per query row, the number of members whose log-density strictly
-        exceeds the threshold: an int array for a batch (n, D), an integer
-        for one point (D,). One log_prob call per member."""
-        return np.sum([m.log_prob(queries) > self.threshold
-                       for m in self.models], axis=0)
+    def fit_threshold(self, scores, labels) -> None:
+        """Set the threshold to the accuracy-maximizing cut for the
+        ``scores`` of labelled queries, pooled over members (member-major,
+        with the labels tiled k times). Labels: 1 = in-distribution."""
+        self.threshold, _ = select_threshold(np.ravel(scores),
+                                             np.tile(labels, self.k))
+
+    def votes(self, scores):
+        """Per query, the number of members whose score strictly exceeds
+        the threshold: an int array for (k, n) scores, an integer for
+        (k,)."""
+        return (scores > self.threshold).sum(axis=0)
 
 
 def partition_indices(n: int, k: int, seed=0):
@@ -138,17 +143,16 @@ def partition_indices(n: int, k: int, seed=0):
     return np.array_split(perm, k)
 
 
-def build_ensemble(X, k: int, threshold: float = 0.0, *, n_blocks: int = 5,
-                   hidden: int = 64, train_steps: int = 1000,
-                   batch_size: int = 128, learning_rate: float = 1e-3,
-                   seed=0) -> EnsembleDetector:
+def build_ensemble(X, k: int, *, n_blocks: int = 5, hidden: int = 64,
+                   train_steps: int = 1000, seed=0) -> EnsembleDetector:
     """Train one non-private flow per data partition.
 
     The k members, each built and seeded from its own child of ``seed``,
     train as one stacked model (``FlowModel.stack``) in a single
-    ``train_flow`` loop, at batch size min(batch_size, smallest part), and
-    are returned as k plain models. Bad step counts, batch sizes or rates
-    raise ConfigurationError (from ``train_flow``).
+    ``train_flow`` loop at its default rate, at batch size min(128,
+    smallest part), and are returned as k plain models under threshold 0
+    (``fit_threshold`` sets it). A negative step count raises
+    ConfigurationError (from ``train_flow``).
     """
     X = np.asarray(X, dtype=float)
     parts = partition_indices(X.shape[0], k, seed=seed)
@@ -160,7 +164,5 @@ def build_ensemble(X, k: int, threshold: float = 0.0, *, n_blocks: int = 5,
     stacked = FlowModel.stack(
         build_maf(X.shape[1], n_blocks=n_blocks, hidden=hidden, seed=s)
         for s in seeds)
-    train_flow([X[part] for part in parts], stacked, train_steps,
-               batch_size=batch_size, learning_rate=learning_rate,
-               seed=seeds)
-    return EnsembleDetector([stacked.member(j) for j in range(k)], threshold)
+    train_flow([X[part] for part in parts], stacked, train_steps, seed=seeds)
+    return EnsembleDetector([stacked.member(j) for j in range(k)], 0.0)

@@ -237,6 +237,10 @@ def train(ctx, **_):
     holdout = None
     if cfg["holdout_frac"] > 0:
         n_hold = int(round(cfg["holdout_frac"] * X.shape[0]))
+        if n_hold == 0:
+            raise ConfigurationError(
+                f"--holdout-frac {cfg['holdout_frac']} gives no holdout row "
+                f"of {X.shape[0]}; use 0 for no holdout")
         perm = rng.permutation(X.shape[0])
         holdout, X = X[perm[:n_hold]], X[perm[n_hold:]]
     model = _build_model(cfg, X, ds.dim, cfg["seed"])
@@ -325,9 +329,11 @@ def eval_ll(ctx, **_):
 @click.option("--q", type=float, default=None, help="Sampling ratio b/n.")
 @click.option("--sigma", type=float, default=None)
 @click.option("--delta", type=float, default=None)
-@click.option("--t-max", type=int, default=None)
-@click.option("--t-min", type=int, default=1, show_default=True)
-@click.option("--points", type=int, default=30, show_default=True)
+@click.option("--t-max", type=click.IntRange(min=1), default=None)
+@click.option("--t-min", type=click.IntRange(min=1), default=1,
+              show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=30,
+              show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="CSV path (default: stdout).")
 @_common_options
@@ -440,8 +446,9 @@ def dp_ad(ctx, **_):
                                  hidden=cfg["hidden"],
                                  train_steps=cfg["train_steps"],
                                  seed=cfg["seed"])
-    detector.fit_threshold(queries, labels)
-    votes = detector.votes(queries)
+    scores = detector.scores(queries)
+    detector.fit_threshold(scores, labels)
+    votes = detector.votes(scores)
     children = np.random.SeedSequence(cfg["seed"]).spawn(len(grid))
     rows = []
     for eps, child in zip(grid, children):

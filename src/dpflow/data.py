@@ -191,33 +191,37 @@ def gen_half_moons(n: int, noise_std: float = 0.1, seed=0) -> Dataset:
     return Dataset(pts)
 
 
-def gen_pinwheel(n: int, arms: int = 5, radial_std: float = 0.3,
-                 tangential_std: float = 0.05, warp: float = 0.25,
-                 seed=0) -> Dataset:
+# Pinwheel noise (radial and tangential standard deviations) and the shear
+# per unit radius; gaussians8 circle radius and component standard deviation.
+PINWHEEL_RADIAL_STD, PINWHEEL_TANGENTIAL_STD, PINWHEEL_WARP = 0.3, 0.05, 0.25
+GAUSSIANS8_RADIUS, GAUSSIANS8_STD = 2.0, 0.2
+
+
+def gen_pinwheel(n: int, arms: int = 5, seed=0) -> Dataset:
     """Radial clusters at unit distance, one per arm, sheared by a rotation
     proportional to the point's radius."""
     if n < arms:
         raise ConfigurationError("need at least one point per arm")
     rng = np.random.default_rng(seed)
     arm = np.arange(n) % arms  # equal allocation keeps every arm populated
-    r = 1.0 + radial_std * rng.standard_normal(n)
-    tang = tangential_std * rng.standard_normal(n)
-    theta = 2.0 * math.pi * arm / arms + warp * r
+    r = 1.0 + PINWHEEL_RADIAL_STD * rng.standard_normal(n)
+    tang = PINWHEEL_TANGENTIAL_STD * rng.standard_normal(n)
+    theta = 2.0 * math.pi * arm / arms + PINWHEEL_WARP * r
     x = r * np.cos(theta) - tang * np.sin(theta)
     y = r * np.sin(theta) + tang * np.cos(theta)
     return Dataset(np.column_stack([x, y]))
 
 
-def gen_gaussians8(n: int, radius: float = 2.0, std: float = 0.2,
-                   seed=0) -> Dataset:
+def gen_gaussians8(n: int, seed=0) -> Dataset:
     """Equal-weight mixture of 8 Gaussians on a circle."""
     if n < 8:
         raise ConfigurationError("n must be >= 8")
     rng = np.random.default_rng(seed)
     comp = rng.integers(0, 8, size=n)
     angles = 2.0 * math.pi * comp / 8.0
-    centers = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    return Dataset(centers + std * rng.standard_normal((n, 2)))
+    centers = GAUSSIANS8_RADIUS * np.column_stack([np.cos(angles),
+                                                   np.sin(angles)])
+    return Dataset(centers + GAUSSIANS8_STD * rng.standard_normal((n, 2)))
 
 
 def knn_regress_mse(train: Dataset, test: Dataset, k: int = 3) -> float:
@@ -240,7 +244,7 @@ def pca_project(dataset: Dataset, components: int = 2):
     Returns (projected (n, components), components (components, D)); each
     component's largest-magnitude entry is made positive.
     """
-    X = dataset.X if isinstance(dataset, Dataset) else np.atleast_2d(dataset)
+    X = dataset.X
     n, d = X.shape
     if components > d:
         raise ConfigurationError("more components than dimensions")
@@ -260,7 +264,7 @@ def dimwise_histogram(dataset: Dataset, bins: int):
     of (edges, counts)."""
     if bins < 1:
         raise ConfigurationError("bins must be >= 1")
-    X = dataset.X if isinstance(dataset, Dataset) else np.atleast_2d(dataset)
+    X = dataset.X
     out = []
     for j in range(X.shape[1]):
         col = X[:, j]

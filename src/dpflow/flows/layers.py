@@ -104,7 +104,7 @@ class MadeLayer(_ParamTensors):
 
     tensor_names = ("W1", "W2", "Wm", "Wa", "b1", "b2", "bm", "ba")
 
-    def __init__(self, dim: int, hidden: int, s_max: float = 5.0, rng=None):
+    def __init__(self, dim: int, hidden: int, s_max: float = 5.0, *, rng):
         if dim < 1 or hidden < 1:
             raise ConfigurationError("dim and hidden must be positive")
         if s_max <= 0:
@@ -220,15 +220,12 @@ class MadeLayer(_ParamTensors):
                           np.multiply(h2, h2, out=sq) @ self.m_out.T + 1.0)
         return total
 
-    def pieces_weighted_sum(self, pieces, weights, out=None):
+    def pieces_weighted_sum(self, pieces, weights, out):
         """sum_m weights[m] * grad_m per tensor, without materializing the
         per-example gradients. Each sum is written by its matmul into
-        ``out``, arrays shaped like the layer's tensors (new ones when
-        None), which is returned. When every weight is exactly 1 the
-        factors are used unscaled: x * 1.0 == x, so the sums keep their
-        bytes."""
-        if out is None:
-            out = [np.empty_like(t) for t in self.param_tensors()]
+        ``out``, arrays shaped like the layer's tensors, which is returned.
+        When every weight is exactly 1 the factors are used unscaled:
+        x * 1.0 == x, so the sums keep their bytes."""
         unit = np.all(weights == 1.0)
         for (factor, act, mask), dest in zip(self._factor_triples(pieces),
                                              out):
@@ -322,9 +319,7 @@ class ActNormLayer(_ParamTensors):
         dw, db = pieces
         return np.sum(dw * dw + db * db, axis=1)
 
-    def pieces_weighted_sum(self, pieces, weights, out=None):
-        if out is None:
-            out = [np.empty(self.dim), np.empty(self.dim)]
+    def pieces_weighted_sum(self, pieces, weights, out):
         for factor, dest in zip(pieces, out):
             np.matmul(weights, factor, out=dest)
         return out
@@ -360,8 +355,8 @@ class ReversalLayer(_ParamTensors):
     def pieces_sq_norms(self, pieces):
         return 0.0
 
-    def pieces_weighted_sum(self, pieces, weights, out=None):
-        return []
+    def pieces_weighted_sum(self, pieces, weights, out):
+        return out
 
     def inverse(self, u):
         return u[:, ::-1], np.zeros(u.shape[0])

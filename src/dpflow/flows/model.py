@@ -388,15 +388,15 @@ def push_rows(layers, x, inverse=False, check=False):
 
 
 def build_maf(dim: int, n_blocks: int = 5, hidden: int = 64,
-              actnorm: bool = False, s_max: float = 5.0,
-              base=None, seed=0) -> FlowModel:
+              actnorm: bool = False, seed=0) -> FlowModel:
     """Stack of [masked-autoregressive, reversal, optional actnorm] blocks
-    over a spherical Gaussian (or supplied) base."""
+    over a spherical Gaussian base; a caller that wants a mixture base sets
+    ``model.base`` afterwards."""
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(n_blocks):
-        layers.append(MadeLayer(dim, hidden, s_max=s_max, rng=rng))
+        layers.append(MadeLayer(dim, hidden, rng=rng))
         layers.append(ReversalLayer(dim))
         if actnorm:
             layers.append(ActNormLayer(dim))
-    return FlowModel(layers, base if base is not None else SphericalGaussian(dim))
+    return FlowModel(layers, SphericalGaussian(dim))

@@ -258,10 +258,10 @@ def test_criterion_7_dp_ad_behavior():
                                  np.zeros(6000, dtype=bool)])
 
         detector = build_ensemble(train, 10, n_blocks=5, hidden=32,
-                                  train_steps=1200, batch_size=128,
-                                  learning_rate=1e-3, seed=403)
-        detector.fit_threshold(queries, labels)
-        votes = detector.votes(queries)
+                                  train_steps=1200, seed=403)
+        scores = detector.scores(queries)
+        detector.fit_threshold(scores, labels)
+        votes = detector.votes(scores)
 
         # (a) frequencies at fixed votes match the formula within 3 sigma
         fixed_c = int(votes[np.argmin(np.abs(votes - 7))])

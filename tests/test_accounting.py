@@ -77,10 +77,6 @@ class TestRdpCurve:
         with pytest.raises(ConfigurationError):
             acc.rdp_curve(0.01, 1.0, orders)
 
-    def test_empty_grid_rejected_by_accountant(self):
-        with pytest.raises(ConfigurationError):
-            acc.Accountant("rdp", 0.01, 1.0, 1e-5, orders=())
-
     @pytest.mark.parametrize("q, sigma", [(0.0, 1.0), (1.5, 1.0),
                                           (0.1, 0.0), (0.1, -1.0)])
     def test_bad_q_sigma_rejected(self, q, sigma):

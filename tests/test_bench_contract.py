@@ -3,13 +3,17 @@
 The benchmark patches dpflow entry points by name for its traced run and
 builds training and init configs with fixed keywords. This reads those
 files (it changes nothing there) and checks, in well under a second, that
-every patched attribute exists and every config it builds constructs, so a
-rename or a dropped keyword fails here before a multi-minute smoke run.
+every patched attribute exists, every config it builds constructs and every
+keyword its workloads pass to a dpflow callable is a parameter of that
+callable, so a rename or a dropped keyword fails here before a
+multi-minute smoke run.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,3 +69,46 @@ def test_training_configs_construct(workloads, tmp_path, name):
 
 def test_init_config_constructs(workloads):
     InitConfig(seed=0, **workloads.INIT).validate()
+
+
+def _resolve(module, node):
+    """The object an expression of names and attributes names in
+    ``module``'s globals, or None (a local, a call, a subscript...)."""
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, None)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(module, node.value)
+        return None if owner is None else getattr(owner, node.attr, None)
+    return None
+
+
+def test_workload_keywords_are_parameters(workloads):
+    """Every keyword (and every key of a module-level dict passed as
+    ``**``) that ``perfbench/workloads.py`` gives a dpflow callable names
+    one of that callable's parameters."""
+    tree = ast.parse(Path(workloads.__file__).read_text())
+    checked, unknown = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = _resolve(workloads, node.func)
+        if not callable(fn) or \
+                not getattr(fn, "__module__", "").startswith("dpflow"):
+            continue
+        params = inspect.signature(fn).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        name = ast.unparse(node.func)
+        for kw in node.keywords:
+            if kw.arg is None:
+                spread = _resolve(workloads, kw.value)
+                assert isinstance(spread, dict), ast.unparse(kw.value)
+                keys = list(spread)
+            else:
+                keys = [kw.arg]
+            unknown += [(name, key) for key in keys if key not in params]
+        checked.add(name)
+    assert unknown == []
+    assert {"build_maf", "training.train_flow", "training.TrainConfig",
+            "initialization.InitConfig", "gmm.gmm_fit_em",
+            "data.gen_half_moons"} <= checked

@@ -403,6 +403,53 @@ def test_bad_train_setting_exit_code(small_data, tmp_path, capsys, flag,
     assert not model.exists()
 
 
+def test_holdout_frac_without_rows_refused_before_training(
+        small_data, tmp_path, capsys, monkeypatch):
+    """A holdout fraction that rounds to no row of the data is refused
+    before any model is built or trained, and no model is written."""
+    import dpflow.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached model building or training")
+    monkeypatch.setattr(dpflow.cli, "build_maf", never)
+    monkeypatch.setattr(dpflow.cli, "train_dp_nf", never)
+    model = tmp_path / "model.json"
+    code, err = run_main(train_args(small_data, model,
+                                    **{"holdout-frac": 0.001}), capsys)
+    assert code == 1
+    assert err.startswith("error:") and "--holdout-frac" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_min", 0), ("t_min", -3), ("t_max", 0), ("points", 0),
+    ("points", -1)])
+@pytest.mark.parametrize("route", ["command_line", "config"])
+def test_accountant_range_exit_code(tmp_path, capsys, key, value, route):
+    """A step bound or point count below 1 is a usage error (exit 2) on
+    the command line and an ``error:`` line (exit 1) from a config file;
+    no table is written either way."""
+    out = tmp_path / "acct.csv"
+    settings = {"q": 0.01, "sigma": 1.0, "delta": 1e-5, "t_max": 100,
+                key: value}
+    argv = ["accountant", "--out", str(out),
+            "--manifest", str(tmp_path / "manifest.json")]
+    if route == "command_line":
+        for name, setting in settings.items():
+            argv += [f"--{name.replace('_', '-')}", str(setting)]
+        code, err = run_main(argv, capsys)
+        assert code == 2
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, err = run_main(argv + ["--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and str(cfg) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_sample_size_below_one_exit_code(small_data, tmp_path, capsys, n):
     model = tmp_path / "model.json"

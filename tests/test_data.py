@@ -361,10 +361,13 @@ class TestHalfMoons:
 
 
 class TestPinwheelAndGaussians:
-    def test_pinwheel_noise_free_clusters(self):
+    def test_pinwheel_noise_free_clusters(self, monkeypatch):
         from scipy.cluster.hierarchy import fcluster, linkage
-        ds = gen_pinwheel(100, arms=5, radial_std=0.0, tangential_std=0.0,
-                          seed=4)
+
+        from dpflow import data
+        monkeypatch.setattr(data, "PINWHEEL_RADIAL_STD", 0.0)
+        monkeypatch.setattr(data, "PINWHEEL_TANGENTIAL_STD", 0.0)
+        ds = gen_pinwheel(100, arms=5, seed=4)
         labels = fcluster(linkage(ds.X, method="single"), t=0.1,
                           criterion="distance")
         assert len(np.unique(labels)) == 5

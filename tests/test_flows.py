@@ -40,6 +40,13 @@ def example_grad(model, x):
     return model.clipped_grad_sum(np.asarray(x, dtype=float)[None], np.inf)[1]
 
 
+def weighted_sum(layer, pieces, weights):
+    """``pieces_weighted_sum`` into new arrays shaped like the layer's
+    tensors."""
+    return layer.pieces_weighted_sum(
+        pieces, weights, [np.empty_like(t) for t in layer.param_tensors()])
+
+
 def numerical_jacobian(fn, x, h=1e-6):
     d = x.shape[0]
     jac = np.empty((d, d))
@@ -321,7 +328,7 @@ def test_made_kernels_bitwise_equal_to_oracle(dim, hidden, rows, seed):
     dx, pieces = layer.backward_pieces(cache, du, dld)
     same((dx,) + pieces, (want["dx"],) + want["pieces"])
     same((layer.pieces_sq_norms(pieces),), (want["sq_norms"],))
-    same(layer.pieces_weighted_sum(pieces, weights), want["sums"])
+    same(weighted_sum(layer, pieces, weights), want["sums"])
     same(layer.inverse(x), made_inverse_oracle(layer, x))
 
 
@@ -589,7 +596,8 @@ class TestBaseLogProbAndGrad:
         from dpflow import gmm as gmm_module
         rng = np.random.default_rng(3)
         gmm = GmmParams([0.3, 0.7], rng.normal(size=(2, 2)), np.ones((2, 2)))
-        model = build_maf(2, n_blocks=2, hidden=6, base=GmmBase(gmm), seed=1)
+        model = build_maf(2, n_blocks=2, hidden=6, seed=1)
+        model.base = GmmBase(gmm)
         calls = []
         real = gmm_module._log_joint
 
@@ -665,7 +673,8 @@ class TestSerialization:
         rng = np.random.default_rng(17)
         gmm = GmmParams(np.array([0.3, 0.7]), rng.normal(size=(2, 2)),
                         rng.uniform(0.5, 2.0, (2, 2)))
-        model = build_maf(2, n_blocks=2, hidden=6, base=GmmBase(gmm), seed=2)
+        model = build_maf(2, n_blocks=2, hidden=6, seed=2)
+        model.base = GmmBase(gmm)
         model.set_flat(rng.normal(0, 0.3, model.n_params))
         reloaded = FlowModel.from_json(model.to_json())
         pts = rng.normal(size=(30, 2))
@@ -817,8 +826,8 @@ class TestClippedGradSumPasses:
 def test_overlong_literal_rejected(case):
     """A number literal that parses to inf is rejected wherever it sits."""
     gmm = GmmParams([0.5, 0.5], [[0.0, 1.0], [2.0, 3.0]], np.ones((2, 2)))
-    model = build_maf(2, n_blocks=1, hidden=4, actnorm=True,
-                      base=GmmBase(gmm), seed=0)
+    model = build_maf(2, n_blocks=1, hidden=4, actnorm=True, seed=0)
+    model.base = GmmBase(gmm)
     doc = json.loads(model.to_json())
     made, _, actnorm = doc["layers"]
     marker = 123.25
@@ -983,7 +992,7 @@ def test_stacked_kernels_bitwise_equal_per_member(k, dim, hidden, rows, seed):
         u, logdet, cache = stacked.forward_cache(x)
         dx, pieces = stacked.backward_pieces(cache, du, dld)
         sq = np.broadcast_to(stacked.pieces_sq_norms(pieces), (k, rows))
-        sums = stacked.pieces_weighted_sum(pieces, weights)
+        sums = weighted_sum(stacked, pieces, weights)
         for j, member in enumerate(members):
             layer = member.layers[i]
             same_bytes([a[j] for a in fwd], layer.forward(x[j]))
@@ -995,7 +1004,7 @@ def test_stacked_kernels_bitwise_equal_per_member(k, dim, hidden, rows, seed):
             same_bytes([sq[j]], [np.broadcast_to(
                 layer.pieces_sq_norms(pieces_j), rows)])
             same_bytes([s[j] for s in sums],
-                       layer.pieces_weighted_sum(pieces_j, weights[j]))
+                       weighted_sum(layer, pieces_j, weights[j]))
 
     lp, grad = stack.base.log_prob_and_grad(x)
     for j, member in enumerate(members):
@@ -1065,7 +1074,8 @@ class TestStack:
         elif case == "hidden":
             models[1] = build_maf(2, n_blocks=1, hidden=5)
         elif case == "s_max":
-            models[1] = build_maf(2, n_blocks=1, hidden=4, s_max=3.0)
+            models[1] = FlowModel([MadeLayer(2, 4, s_max=3.0, rng=1),
+                                   ReversalLayer(2)], SphericalGaussian(2))
         elif case == "dim":
             models = [FlowModel([ReversalLayer(d)], SphericalGaussian(d))
                       for d in (2, 3)]

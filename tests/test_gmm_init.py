@@ -330,7 +330,8 @@ class TestGmmBaseFlow:
         from dpflow.flows import GmmBase, build_maf
         rng = np.random.default_rng(15)
         gmm = random_gmm(rng, m=3, d=1)
-        model = build_maf(1, n_blocks=2, hidden=8, base=GmmBase(gmm), seed=4)
+        model = build_maf(1, n_blocks=2, hidden=8, seed=4)
+        model.base = GmmBase(gmm)
         model.set_flat(rng.normal(0.0, 0.25, model.n_params))
         xs = np.arange(-20.0, 20.0, 1e-3)[:, None]
         integral = np.trapezoid(np.exp(model.log_prob(xs)), dx=1e-3)

@@ -498,7 +498,8 @@ class TestTrainFlow:
 
     @pytest.mark.parametrize("bad", [
         dict(n_steps=-3), dict(batch_size=0), dict(learning_rate=0.0),
-        dict(learning_rate=-1.0)])
+        dict(learning_rate=-1.0), dict(batch_size=-5),
+        dict(learning_rate=-1e-3)])
     def test_bad_sizes_rejected(self, bad):
         model = build_maf(2, n_blocks=1, hidden=4, seed=0)
         before = model.get_flat()
