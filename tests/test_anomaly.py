@@ -416,7 +416,11 @@ class TestBuildEnsemble:
         for got, expected in zip(det.models, want):
             assert got.params.tobytes() == expected.params.tobytes()
 
-    @pytest.mark.parametrize("bad", [dict(train_steps=-1)])
+    # The batch size and learning rate are train_flow's own and are tested
+    # there; build_ensemble still passes on its step count and width.
+    @pytest.mark.parametrize("bad", [
+        dict(train_steps=-1), dict(hidden=0), dict(train_steps=-50),
+        dict(hidden=-3)])
     def test_bad_training_sizes_rejected(self, bad):
         X = np.random.default_rng(32).normal(size=(40, 2))
         kwargs = dict(n_blocks=1, hidden=4, train_steps=2, seed=0)
