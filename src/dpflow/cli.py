@@ -1,9 +1,9 @@
 """Command-line front end for reproducible experiment runs.
 
-Every subcommand resolves its configuration (flags override an optional
-JSON config file), writes a manifest capturing the resolved values plus any
-spent privacy budget, and emits metrics as JSON on stdout with tables as
-CSV files.
+Every subcommand takes its configuration from flags over an optional JSON
+config file (click's ``default_map``), writes a manifest capturing the
+resolved values plus any spent privacy budget, and emits metrics as JSON on
+stdout with tables as CSV files.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from .initialization import InitConfig, dp_nf_init
 from .training import TrainConfig, train_dp_nf
 
 
-def _check_json_type(path, option, value, required):
+def _check_json_type(path, option, value):
     """Click's types would cast config-file values the command line cannot
     give: a flag accepts only a JSON bool, an int option no JSON float or
     bool (``10.7`` would become 10, ``true`` 1), a float option no bool, and
     no option an array or an object. ``null`` leaves an option unset, so it
-    is accepted only where the option has no default and the command does
-    not require it."""
+    is accepted only where the option has no default and is not
+    required."""
     if value is None:
-        bad = option.default is not None or option.name in required
+        bad = option.required or option.default is not None
     elif isinstance(value, (list, dict)):
         bad = True
     elif isinstance(option.type, click.types.BoolParamType):
@@ -49,41 +49,36 @@ def _check_json_type(path, option, value, required):
             f"got {json.dumps(value)}")
 
 
-def _resolve(ctx: click.Context, *required: str) -> dict:
-    """Merge an optional JSON config file under explicit command-line flags.
-
-    ``required`` names must be present after merging (they are ordinary
-    options at the click level so a config file can supply them).
-    """
-    params = dict(ctx.params)
-    path = params.pop("config", None)
-    if path:
+def _config_default(ctx, path, option, value):
+    """The default for an option a config file sets: a function that checks
+    and casts the value, which click calls only when the command line does
+    not give the option (and ``--help`` shows as ``(dynamic)``)."""
+    def default():
+        _check_json_type(path, option, value)
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-        # Accept a manifest as a config.
-        file_cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
-        if not isinstance(file_cfg, dict):
-            raise ConfigurationError(f"{path}: expected a JSON object")
-        options = {p.name: p for p in ctx.command.params}
-        for name, value in file_cfg.items():
-            if name not in params:
-                continue
-            src = ctx.get_parameter_source(name)
-            if src is not None and src.name != "COMMANDLINE":
-                _check_json_type(path, options[name], value, required)
-                try:
-                    params[name] = options[name].type_cast_value(ctx, value)
-                except click.BadParameter as exc:
-                    raise ConfigurationError(
-                        f"{path}: {exc.format_message()}") from None
-    for name in required:
-        if params.get(name) is None:
-            flag = name.replace("_", "-")
-            raise click.UsageError(f"Missing option '--{flag}'.")
-    return params
+            return option.type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise ConfigurationError(
+                f"{path}: {exc.format_message()}") from None
+    return default
+
+
+def _load_config(ctx, _param, path):
+    """Lay a JSON config file (or a manifest's ``config`` block) under the
+    command line as the command's ``default_map``."""
+    if not path:
+        return
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    file_cfg = doc.get("config", doc) if isinstance(doc, dict) else doc
+    if not isinstance(file_cfg, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    options = {p.name: p for p in ctx.command.params}
+    ctx.default_map = {name: _config_default(ctx, path, options[name], value)
+                       for name, value in file_cfg.items() if name in options}
 
 
 def _write_manifest(command: str, cfg: dict, extra: dict | None = None):
@@ -112,16 +107,17 @@ def _data_options(help_text=None):
     def decorate(fn):
         fn = click.option("--has-header", is_flag=True, default=False)(fn)
         return click.option("--data", type=click.Path(exists=True),
-                            default=None, help=help_text)(fn)
+                            required=True, help=help_text)(fn)
     return decorate
 
 
 _model_option = click.option("--model", "model_path",
-                             type=click.Path(exists=True), default=None)
+                             type=click.Path(exists=True), required=True)
 
 
 def _common_options(fn):
     fn = click.option("--config", type=click.Path(exists=True), default=None,
+                      is_eager=True, expose_value=False, callback=_load_config,
                       help="JSON config file (or manifest); flags override it.")(fn)
     fn = click.option("--manifest", type=click.Path(), default=None,
                       help="Manifest output path.")(fn)
@@ -190,16 +186,14 @@ def cli():
 
 @cli.command("gen-data")
 @click.option("--shape", type=click.Choice(["half-moons", "pinwheel",
-                                            "gaussians8"]), default=None)
-@click.option("--n", type=int, default=None)
+                                            "gaussians8"]), required=True)
+@click.option("--n", type=int, required=True)
 @click.option("--noise-std", type=float, default=0.1, show_default=True)
 @click.option("--arms", type=int, default=5, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), required=True)
 @_common_options
-@click.pass_context
-def gen_data(ctx, **_):
+def gen_data(**cfg):
     """Write a synthetic benchmark dataset as CSV."""
-    cfg = _resolve(ctx, "shape", "n", "out")
     if cfg["shape"] == "half-moons":
         ds = dt.gen_half_moons(cfg["n"], noise_std=cfg["noise_std"],
                                seed=cfg["seed"])
@@ -216,16 +210,14 @@ def gen_data(ctx, **_):
 @_data_options()
 @click.option("--standardize", "do_standardize", is_flag=True, default=False)
 @click.option("--holdout-frac", type=float, default=0.1, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(), required=True,
               help="Model file (JSON).")
 @click.option("--report", type=click.Path(), default=None,
               help="Training report (JSON lines).")
 @_train_options
 @_common_options
-@click.pass_context
-def train(ctx, **_):
+def train(**cfg):
     """Train a flow privately on a CSV dataset (budget-gated)."""
-    cfg = _resolve(ctx, "data", "out")
     if not 0.0 <= cfg["holdout_frac"] < 1.0:
         raise ConfigurationError(
             f"--holdout-frac must be in [0, 1), got {cfg['holdout_frac']}")
@@ -261,13 +253,11 @@ def train(ctx, **_):
 
 @cli.command("sample")
 @_model_option
-@click.option("--n", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--n", type=int, required=True)
+@click.option("--out", type=click.Path(), required=True)
 @_common_options
-@click.pass_context
-def sample(ctx, **_):
+def sample(**cfg):
     """Draw synthetic rows from a saved model."""
-    cfg = _resolve(ctx, "model_path", "n", "out")
     model = FlowModel.load(cfg["model_path"])
     dt.save_csv(cfg["out"], model.sample(cfg["n"], cfg["seed"]))
     _write_manifest("sample", cfg)
@@ -279,10 +269,8 @@ def sample(ctx, **_):
 @_data_options()
 @click.option("--out", type=click.Path(), default=None)
 @_common_options
-@click.pass_context
-def logprob(ctx, **_):
+def logprob(**cfg):
     """Per-row log-density of a dataset under a saved model."""
-    cfg = _resolve(ctx, "model_path", "data")
     model = FlowModel.load(cfg["model_path"])
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     lp = model.log_prob(ds.X)
@@ -298,11 +286,9 @@ def logprob(ctx, **_):
 @click.option("--folds", type=int, default=10, show_default=True)
 @_train_options
 @_common_options
-@click.pass_context
-def eval_ll(ctx, **_):
+def eval_ll(**cfg):
     """Cross-validated mean test log-likelihood: train on each 90% split,
     score the held-out 10%."""
-    cfg = _resolve(ctx, "data")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     splits = dt.make_cv_splits(ds.n, folds=cfg["folds"], seed=cfg["seed"])
     per_fold = []
@@ -326,10 +312,10 @@ def eval_ll(ctx, **_):
 
 
 @cli.command("accountant")
-@click.option("--q", type=float, default=None, help="Sampling ratio b/n.")
-@click.option("--sigma", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--t-max", type=click.IntRange(min=1), default=None)
+@click.option("--q", type=float, required=True, help="Sampling ratio b/n.")
+@click.option("--sigma", type=float, required=True)
+@click.option("--delta", type=float, required=True)
+@click.option("--t-max", type=click.IntRange(min=1), required=True)
 @click.option("--t-min", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("--points", type=click.IntRange(min=1), default=30,
@@ -337,10 +323,8 @@ def eval_ll(ctx, **_):
 @click.option("--out", type=click.Path(), default=None,
               help="CSV path (default: stdout).")
 @_common_options
-@click.pass_context
-def accountant_cmd(ctx, **_):
+def accountant_cmd(**cfg):
     """Tabulate spent epsilon under both accountants over a step range."""
-    cfg = _resolve(ctx, "q", "sigma", "delta", "t_max")
     rdp = Accountant("rdp", cfg["q"], cfg["sigma"], cfg["delta"])
     gdp = Accountant("gdp", cfg["q"], cfg["sigma"], cfg["delta"])
     grid = np.unique(np.geomspace(cfg["t_min"], cfg["t_max"],
@@ -357,7 +341,7 @@ def accountant_cmd(ctx, **_):
 
 @cli.command("init")
 @_data_options()
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), required=True)
 @click.option("--ctilde", type=float, default=20.0, show_default=True,
               help="Feature clip range width.")
 @click.option("--epsilon", type=float, default=1.0, show_default=True)
@@ -365,11 +349,9 @@ def accountant_cmd(ctx, **_):
 @click.option("--blocks", type=int, default=5, show_default=True)
 @click.option("--hidden", type=int, default=64, show_default=True)
 @_common_options
-@click.pass_context
-def init_cmd(ctx, **_):
+def init_cmd(**cfg):
     """Build a flow with actnorm layers initialized from privatized
     feature statistics."""
-    cfg = _resolve(ctx, "data", "out")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     model = build_maf(ds.dim, n_blocks=cfg["blocks"], hidden=cfg["hidden"],
                       actnorm=True, seed=cfg["seed"])
@@ -387,13 +369,11 @@ def init_cmd(ctx, **_):
 @cli.command("anomaly-roc")
 @_model_option
 @_data_options(help_text="In-distribution test rows (CSV).")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(), required=True,
               help="ROC points CSV (threshold, fpr, tpr).")
 @_common_options
-@click.pass_context
-def anomaly_roc(ctx, **_):
+def anomaly_roc(**cfg):
     """Likelihood-threshold ROC against generated tail anomalies."""
-    cfg = _resolve(ctx, "model_path", "data", "out")
     model = FlowModel.load(cfg["model_path"])
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     anomalies = ad.gen_tail_anomalies(ds.X, ds.n, seed=cfg["seed"])
@@ -418,14 +398,12 @@ def anomaly_roc(ctx, **_):
 @click.option("--train-steps", type=int, default=1000, show_default=True)
 @click.option("--hidden", type=int, default=64, show_default=True)
 @click.option("--blocks", type=int, default=5, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(), required=True,
               help="CSV of (eps, accuracy).")
 @_common_options
-@click.pass_context
-def dp_ad(ctx, **_):
+def dp_ad(**cfg):
     """Ensemble anomaly detection accuracy as a function of the per-query
     privacy budget."""
-    cfg = _resolve(ctx, "data", "out")
     try:
         grid = [float(token) for token in cfg["eps_grid"].split(",")]
     except ValueError as exc:
@@ -465,17 +443,15 @@ def dp_ad(ctx, **_):
 @cli.command("downstream-knn")
 @_model_option
 @click.option("--train", "train_path", type=click.Path(exists=True),
-              default=None, help="Real training rows (last column = target).")
+              required=True, help="Real training rows (last column = target).")
 @click.option("--test", "test_path", type=click.Path(exists=True),
-              default=None)
+              required=True)
 @click.option("--has-header", is_flag=True, default=False)
 @click.option("--k", type=int, default=3, show_default=True)
 @_common_options
-@click.pass_context
-def downstream_knn(ctx, **_):
+def downstream_knn(**cfg):
     """kNN regression MSE on real test data, trained on model samples vs on
     the real training data (baseline)."""
-    cfg = _resolve(ctx, "model_path", "train_path", "test_path")
     model = FlowModel.load(cfg["model_path"])
     train_ds = dt.load_csv(cfg["train_path"], has_header=cfg["has_header"])
     test_ds = dt.load_csv(cfg["test_path"], has_header=cfg["has_header"])
@@ -490,12 +466,10 @@ def downstream_knn(ctx, **_):
 @cli.command("project-pca")
 @_data_options()
 @click.option("--components", type=int, default=2, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), required=True)
 @_common_options
-@click.pass_context
-def project_pca(ctx, **_):
+def project_pca(**cfg):
     """Project a dataset onto its top principal components (CSV out)."""
-    cfg = _resolve(ctx, "data", "out")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     projected, comps = dt.pca_project(ds, components=cfg["components"])
     _write_rows(cfg["out"],
@@ -508,12 +482,10 @@ def project_pca(ctx, **_):
 @cli.command("hist")
 @_data_options()
 @click.option("--bins", type=int, default=50, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), required=True)
 @_common_options
-@click.pass_context
-def hist(ctx, **_):
+def hist(**cfg):
     """Dimension-wise histogram table: (dim, bin_left, bin_right, count)."""
-    cfg = _resolve(ctx, "data", "out")
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     rows = []
     for j, (edges, counts) in enumerate(dt.dimwise_histogram(ds, cfg["bins"])):
@@ -526,20 +498,14 @@ def hist(ctx, **_):
 
 
 def main(argv=None):
+    """Run the CLI in click's standalone mode (usage errors exit 2, click's
+    other errors 1); a package or file error prints an ``error:`` line and
+    exits 1."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(2)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
+        cli.main(args=argv)
     except (DpflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -162,6 +162,8 @@ def standardize(dataset: Dataset) -> Dataset:
 
 def make_cv_splits(n: int, folds: int = 10, seed=0):
     """Independent seeded 90/10 splits, one per fold: (train_idx, test_idx)."""
+    if folds < 1:
+        raise ConfigurationError(f"folds must be >= 1, got {folds}")
     if n < folds:
         raise ConfigurationError("n too small for the requested folds")
     rng = np.random.default_rng(seed)
@@ -228,6 +230,11 @@ def knn_regress_mse(train: Dataset, test: Dataset, k: int = 3) -> float:
     """Mean squared error predicting the last column from the others with
     k-nearest-neighbour mean aggregation (Euclidean metric; distance ties
     broken toward the lower training-row index)."""
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if train.dim != test.dim:
+        raise ConfigurationError(
+            f"train has {train.dim} columns, test has {test.dim}")
     Xtr, ytr = train.X[:, :-1], train.X[:, -1]
     Xte, yte = test.X[:, :-1], test.X[:, -1]
     if k > Xtr.shape[0]:
@@ -246,6 +253,9 @@ def pca_project(dataset: Dataset, components: int = 2):
     """
     X = dataset.X
     n, d = X.shape
+    if components < 1:
+        raise ConfigurationError(
+            f"components must be >= 1, got {components}")
     if components > d:
         raise ConfigurationError("more components than dimensions")
     if n <= components:

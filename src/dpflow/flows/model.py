@@ -392,6 +392,8 @@ def build_maf(dim: int, n_blocks: int = 5, hidden: int = 64,
     """Stack of [masked-autoregressive, reversal, optional actnorm] blocks
     over a spherical Gaussian base; a caller that wants a mixture base sets
     ``model.base`` afterwards."""
+    if n_blocks < 1:
+        raise ConfigurationError(f"n_blocks must be >= 1, got {n_blocks}")
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(n_blocks):

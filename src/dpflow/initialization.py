@@ -30,10 +30,14 @@ class InitConfig:
     seed: int = 0
 
     def validate(self):
-        if self.clip_range <= 0:
-            raise ConfigurationError("clip range must be positive")
-        if self.epsilon <= 0:
-            raise ConfigurationError("epsilon must be positive")
+        """Each number check is written so that NaN fails it; epsilon =
+        inf is the exact-statistics mode."""
+        if not self.clip_range > 0:
+            raise ConfigurationError(
+                f"clip range must be positive, got {self.clip_range}")
+        if not self.epsilon > 0:
+            raise ConfigurationError(
+                f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must be in (0, 1)")
 

@@ -420,7 +420,7 @@ class TestBuildEnsemble:
     # there; build_ensemble still passes on its step count and width.
     @pytest.mark.parametrize("bad", [
         dict(train_steps=-1), dict(hidden=0), dict(train_steps=-50),
-        dict(hidden=-3)])
+        dict(hidden=-3), dict(n_blocks=0), dict(n_blocks=-1)])
     def test_bad_training_sizes_rejected(self, bad):
         X = np.random.default_rng(32).normal(size=(40, 2))
         kwargs = dict(n_blocks=1, hidden=4, train_steps=2, seed=0)

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dpflow.cli import cli
 from dpflow.initialization import InitConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -112,3 +113,32 @@ def test_workload_keywords_are_parameters(workloads):
     assert {"build_maf", "training.train_flow", "training.TrainConfig",
             "initialization.InitConfig", "gmm.gmm_fit_em",
             "data.gen_half_moons"} <= checked
+
+
+def test_workload_command_lines_fit_the_cli(workloads):
+    """Every ``cli_op`` argv list in ``perfbench/workloads.py`` gives only
+    options its command declares, and every option it declares required."""
+    tree = ast.parse(Path(workloads.__file__).read_text())
+    commands, problems = [], []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cli_op"):
+            continue
+        argv = node.args[0]
+        assert isinstance(argv, ast.List), ast.unparse(argv)
+        words = [item.value for item in argv.elts
+                 if isinstance(item, ast.Constant)]
+        command = cli.commands[words[0]]
+        flags = {word for word in words[1:] if word.startswith("--")}
+        declared = {opt for param in command.params
+                    for opt in param.opts + param.secondary_opts}
+        required = {param.opts[0] for param in command.params
+                    if param.required}
+        problems += [(words[0], "unknown", flag)
+                     for flag in sorted(flags - declared)]
+        problems += [(words[0], "missing", flag)
+                     for flag in sorted(required - flags)]
+        commands.append(words[0])
+    assert problems == []
+    assert sorted(commands) == ["anomaly-roc", "dp-ad", "logprob", "sample"]

@@ -237,6 +237,7 @@ def test_dp_ad_bad_eps_grid(small_data, tmp_path, capsys, eps, token):
     ("--test-frac", "1.5", "--test-frac must be in (0, 1)"),
     ("--test-frac", "nan", "--test-frac must be in (0, 1)"),
     ("--train-steps", "-3", "step count must be nonnegative"),
+    ("--blocks", "-1", "n_blocks must be >= 1"),
 ])
 def test_dp_ad_bad_sizes(small_data, tmp_path, capsys, flag, value, message):
     out = tmp_path / "sweep.csv"
@@ -390,6 +391,7 @@ def test_bad_mixture_size_exit_code(small_data, tmp_path, capsys, extra):
     ("--lr", "inf", "learning_rate"), ("--eval-every", "0", "eval_every"),
     ("--holdout-frac", "1.5", "--holdout-frac"),
     ("--sigma", "0.03", "epsilon exceeds"),
+    ("--blocks", "0", "n_blocks"),
 ])
 def test_bad_train_setting_exit_code(small_data, tmp_path, capsys, flag,
                                      value, message):
@@ -401,6 +403,64 @@ def test_bad_train_setting_exit_code(small_data, tmp_path, capsys, flag,
     assert code == 1
     assert err.startswith("error:") and message in err
     assert not model.exists()
+
+
+def test_init_nan_epsilon_exit_code(small_data, tmp_path, capsys):
+    """A NaN budget would skip the Laplace noise and write the exact
+    clipped feature means; it exits 1 and writes no model."""
+    model = tmp_path / "init.json"
+    code, err = run_main(["init", "--data", str(small_data), "--out",
+                          str(model), "--epsilon", "nan", "--blocks", "1",
+                          "--hidden", "4"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "epsilon must be positive" in err
+    assert not model.exists()
+    assert not (tmp_path / "init.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("downstream-knn", ["--k", "0"], "k must be >= 1"),
+    ("downstream-knn", ["--k", "-1"], "k must be >= 1"),
+    ("project-pca", ["--components", "0"], "components must be >= 1"),
+    ("project-pca", ["--components", "-1"], "components must be >= 1"),
+    ("eval-ll", ["--folds", "0"], "folds must be >= 1"),
+], ids=["knn_k_zero", "knn_k_negative", "pca_zero_components",
+        "pca_negative_components", "eval_ll_no_folds"])
+def test_bad_evaluation_setting_exit_code(query_model, small_data, tmp_path,
+                                          capsys, command, extra, message):
+    """An evaluation setting that would give a NaN, empty or meaningless
+    result exits 1 with an ``error:`` line and writes no table or
+    manifest."""
+    out, manifest = tmp_path / "out.csv", tmp_path / "m.json"
+    argv = [command, "--manifest", str(manifest)]
+    if command == "downstream-knn":
+        argv += ["--model", str(query_model), "--train", str(small_data),
+                 "--test", str(small_data)]
+    elif command == "project-pca":
+        argv += ["--data", str(small_data), "--out", str(out)]
+    else:
+        argv += ["--data", str(small_data), "--max-steps", "1",
+                 "--blocks", "1", "--hidden", "4"]
+    code, err = run_main(argv + extra, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists() and not manifest.exists()
+
+
+def test_downstream_knn_width_mismatch_exit_code(query_model, tmp_path,
+                                                 capsys):
+    """Samples of a 2-D model against 3-column tables would be scored by
+    broadcast distances; the command exits 1 instead."""
+    rows = tmp_path / "wide.csv"
+    rows.write_text("".join(f"{i},{i % 3},{i % 5}\n" for i in range(20)))
+    manifest = tmp_path / "m.json"
+    code, err = run_main(["downstream-knn", "--model", str(query_model),
+                          "--train", str(rows), "--test", str(rows),
+                          "--manifest", str(manifest)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "columns" in err
+    assert not manifest.exists()
 
 
 def test_holdout_frac_without_rows_refused_before_training(
@@ -595,6 +655,71 @@ def test_flag_overrides_config_file(runner, small_data, tmp_path):
     assert len(read_csv_rows(out)) == 25  # flag wins over config n=10
 
 
+def test_config_value_under_command_line_flag_ignored(tmp_path, capsys):
+    """A config value is checked only when it is used: one under an option
+    the command line also gives is neither checked nor cast."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shape": "half-moons", "n": "abc",
+                               "seed": True, "arms": [1]}))
+    out = tmp_path / "rows.csv"
+    code, err = run_main(["gen-data", "--config", str(cfg), "--n", "20",
+                          "--seed", "1", "--arms", "3", "--out", str(out)],
+                         capsys)
+    assert code == 0, err
+    assert len(read_csv_rows(out)) == 20
+    manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    assert (manifest["config"]["n"], manifest["config"]["seed"],
+            manifest["config"]["arms"]) == (20, 1, 3)
+
+
+REQUIRED_OPTIONS = {
+    "gen-data": {"--shape", "--n", "--out"},
+    "train": {"--data", "--out"},
+    "sample": {"--model", "--n", "--out"},
+    "logprob": {"--model", "--data"},
+    "eval-ll": {"--data"},
+    "accountant": {"--q", "--sigma", "--delta", "--t-max"},
+    "init": {"--data", "--out"},
+    "anomaly-roc": {"--model", "--data", "--out"},
+    "dp-ad": {"--data", "--out"},
+    "downstream-knn": {"--model", "--train", "--test"},
+    "project-pca": {"--data", "--out"},
+    "hist": {"--data", "--out"},
+}
+
+
+def help_entries(text):
+    """Each option's first flag and its whole (possibly wrapped) entry in
+    a ``--help`` listing."""
+    entries = {}
+    flag = None
+    for line in text.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].split("/")[0]
+            entries[flag] = line
+        elif flag and line.startswith("   "):
+            entries[flag] += line
+        else:
+            flag = None
+    return entries
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_OPTIONS))
+def test_help_marks_required_options(runner, command):
+    """``--help`` marks exactly the options the command requires, and each
+    of them missing is click's usage error (exit 2) naming it."""
+    assert set(cli.commands) == set(REQUIRED_OPTIONS)
+    result = runner.invoke(cli, [command, "--help"])
+    assert result.exit_code == 0
+    marked = {flag for flag, entry in help_entries(result.output).items()
+              if "required]" in entry}
+    assert marked == REQUIRED_OPTIONS[command]
+    result = runner.invoke(cli, [command])
+    assert result.exit_code == 2
+    missing = result.output.rsplit("Missing option '", 1)[1].split("'")[0]
+    assert missing in REQUIRED_OPTIONS[command]
+
+
 def test_exit_codes(tmp_path):
     import subprocess
     import sys
@@ -608,8 +733,8 @@ def test_exit_codes(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
 
-    # Paths supplied through a config file bypass click validation and fail
-    # at runtime instead.
+    # A missing path from a config file is a bad config value: exit 1 with
+    # an error line, not click's usage error.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model_path": "/nonexistent.json",
                                "data": "/nonexistent.csv"}))

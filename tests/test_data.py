@@ -338,6 +338,11 @@ class TestCvSplits:
         with pytest.raises(ConfigurationError):
             make_cv_splits(5, folds=10)
 
+    @pytest.mark.parametrize("folds", [0, -2])
+    def test_folds_below_one_rejected(self, folds):
+        with pytest.raises(ConfigurationError, match="folds must be >= 1"):
+            make_cv_splits(50, folds=folds)
+
 
 class TestHalfMoons:
     def test_noise_free_points_on_arcs(self):
@@ -438,6 +443,18 @@ class TestKnn:
             knn_regress_mse(Dataset(np.ones((2, 2))),
                             Dataset(np.ones((2, 2))), k=3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        ds = Dataset(np.random.default_rng(14).normal(size=(10, 3)))
+        with pytest.raises(ConfigurationError, match="k must be >= 1"):
+            knn_regress_mse(ds, ds, k=k)
+
+    def test_width_mismatch_rejected(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(ConfigurationError, match="columns"):
+            knn_regress_mse(Dataset(rng.normal(size=(10, 2))),
+                            Dataset(rng.normal(size=(5, 3))), k=3)
+
 
 class TestPca:
     def test_projected_variance_equals_eigenvalues(self):
@@ -470,6 +487,13 @@ class TestPca:
     def test_too_many_components(self):
         with pytest.raises(ConfigurationError):
             pca_project(Dataset(np.ones((10, 2))), components=3)
+
+    @pytest.mark.parametrize("components", [0, -1])
+    def test_components_below_one_rejected(self, components):
+        X = np.random.default_rng(16).normal(size=(10, 2))
+        with pytest.raises(ConfigurationError,
+                           match="components must be >= 1"):
+            pca_project(Dataset(X), components=components)
 
 
 class TestHistogram:

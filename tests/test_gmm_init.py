@@ -388,6 +388,15 @@ class TestDpNfInit:
             results.append(model.get_flat())
         np.testing.assert_array_equal(results[0], results[1])
 
+    @pytest.mark.parametrize("field, message", [
+        ("epsilon", "epsilon must be positive"),
+        ("clip_range", "clip range must be positive")])
+    def test_nan_setting_rejected(self, field, message):
+        """A NaN budget would skip the noise and release exact statistics;
+        a NaN clip range would give NaN scales."""
+        with pytest.raises(ConfigurationError, match=message):
+            InitConfig(**{field: math.nan}).validate()
+
     def test_requires_actnorm_layers(self):
         model = build_maf(2, n_blocks=1, hidden=4, actnorm=False, seed=0)
         with pytest.raises(ConfigurationError):
