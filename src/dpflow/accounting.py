@@ -12,19 +12,84 @@ ratio q, noise multiplier sigma, tolerance delta) to a spent epsilon:
 ``steps_for_budget`` turns either into the number of steps a budget allows.
 Also provides the Gaussian and Laplace noise mechanisms and the binary
 exponential mechanism used for private vote aggregation.
+
+The few special functions these need (log-binomials, a row log-sum-exp, the
+normal CDF and its log, the logistic function) are written here with numpy
+and ``math``: importing scipy.special for them would double the start-up
+time and resident memory of every process that imports the package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, gammaln, log_ndtr, logsumexp, ndtr
 
 from .errors import ConfigurationError, NumericalOverflowError
 
 DEFAULT_ORDERS = tuple(range(2, 257))
+
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_binomials(alphas: np.ndarray) -> np.ndarray:
+    """(orders x j) matrix of log C(alpha, j) for j = 0..max(alphas), -inf
+    where j > alpha; ``alphas`` holds integers >= 0. One table of log k!
+    from ``math.lgamma`` serves every entry."""
+    a = alphas.astype(int)[:, None]
+    j = np.arange(a.max() + 1)[None, :]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(a.max() + 1)])
+    return np.where(j <= a, log_fact[a] - log_fact[j]
+                    - log_fact[np.maximum(a - j, 0)], -np.inf)
+
+
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x), axis=1)) for a 2-D ``x`` whose row maxima are
+    finite: the row maximum plus log1p of the other terms shifted by it, so
+    a row with one dominant term keeps full relative precision."""
+    rows = np.arange(x.shape[0])
+    top_at = np.argmax(x, axis=1)
+    top = x[rows, top_at]
+    shifted = np.exp(x - top[:, None])
+    shifted[rows, top_at] = 0.0
+    return top + np.log1p(shifted.sum(axis=1))
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x * _SQRT1_2)
+
+
+def _log_ndtr(x: float) -> float:
+    """log of the standard normal CDF, accurate far into the lower tail.
+
+    log1p of the upper tail for x > 0; the log of the CDF down to -20; below
+    that the asymptotic series log Phi(x) = -x^2/2 - log(-x) - log sqrt(2 pi)
+    + log(1 - 1/x^2 + 3/x^4 - ...), summed until the total stops changing,
+    which stays finite where the CDF itself underflows (x below about -38).
+    """
+    if x > 0.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    inv_x2 = 1.0 / (x * x)
+    total, last, term, i = 1.0, 0.0, 1.0, 0
+    while abs(total - last) > sys.float_info.epsilon:
+        i += 1
+        last = total
+        term *= -(2 * i - 1) * inv_x2
+        total += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(total)
+
+
+def _expit(x):
+    """Logistic function 1 / (1 + e^-x), elementwise; exp(-x) overflowing
+    to inf gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
@@ -52,11 +117,9 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
 
     inv = 1.0 / (sigma * sigma)  # eps(2) of the base mechanism
     log_q = math.log(q)
-    a = alphas[:, None]
     j = np.arange(int(alphas.max()) + 1, dtype=float)[None, :]
-    # gammaln is +inf at the non-positive integers, so log C(alpha, j) and
-    # every term with j > alpha are -inf.
-    log_binom = gammaln(a + 1) - gammaln(j + 1) - gammaln(a - j + 1)
+    # log C(alpha, j) is -inf for j > alpha, and so is every such term.
+    log_binom = _log_binomials(alphas)
     # j >= 3 terms: q^j C(alpha,j) e^{(j-1) eps(j)} * 2.
     terms = j * log_q + log_binom + (j - 1) * j * inv / 2.0 + math.log(2.0)
     # j = 2 term: q^2 C(alpha,2) min{4(e^eps2 - 1), 2 e^eps2}.
@@ -66,7 +129,7 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     terms[:, 2] = 2.0 * log_q + log_binom[:, 2] + log_b2
     terms[:, 0] = 0.0
     terms[:, 1] = -np.inf
-    return logsumexp(terms, axis=1) / (alphas - 1.0)
+    return _logsumexp_rows(terms) / (alphas - 1.0)
 
 
 def rdp_subsampled_gaussian(alpha: int, q: float, sigma: float) -> float:
@@ -108,8 +171,8 @@ def gdp_delta_for_eps(mu: float, eps: float) -> float:
     b = -eps / mu - mu / 2.0
     if eps > 30.0:
         # Both terms are tiny; keep e^eps * Phi(b) in log space.
-        return float(math.exp(log_ndtr(a)) - math.exp(eps + log_ndtr(b)))
-    return float(ndtr(a) - math.exp(eps) * ndtr(b))
+        return math.exp(_log_ndtr(a)) - math.exp(eps + _log_ndtr(b))
+    return _ndtr(a) - math.exp(eps) * _ndtr(b)
 
 
 def gdp_eps_for_delta(mu: float, delta: float) -> tuple[float, bool]:
@@ -245,6 +308,6 @@ def exp_mech_binary(c, k: int, eps: float, seed):
         raise ConfigurationError(f"vote count {bad[0]} outside [0, {k}]")
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ConfigurationError(f"eps must be finite and >= 0, got {eps}")
-    p_in = expit(eps * (2.0 * c - k) / 2.0)
+    p_in = _expit(eps * (2.0 * c - k) / 2.0)
     labels = np.random.default_rng(seed).random(c.shape) < p_in
     return labels if labels.ndim else bool(labels)

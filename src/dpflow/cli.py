@@ -65,7 +65,8 @@ def _config_default(ctx, path, option, value):
 
 def _load_config(ctx, _param, path):
     """Lay a JSON config file (or a manifest's ``config`` block) under the
-    command line as the command's ``default_map``."""
+    command line as the command's ``default_map``; a key that names no
+    option of the command is an error, not a setting silently dropped."""
     if not path:
         return
     try:
@@ -77,8 +78,12 @@ def _load_config(ctx, _param, path):
     if not isinstance(file_cfg, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     options = {p.name: p for p in ctx.command.params}
+    for name in file_cfg:
+        if name not in options:
+            raise ConfigurationError(
+                f"{path}: {name}: no such option of {ctx.command.name}")
     ctx.default_map = {name: _config_default(ctx, path, options[name], value)
-                       for name, value in file_cfg.items() if name in options}
+                       for name, value in file_cfg.items()}
 
 
 def _write_manifest(command: str, cfg: dict, extra: dict | None = None):

@@ -31,10 +31,10 @@ class InitConfig:
 
     def validate(self):
         """Each number check is written so that NaN fails it; epsilon =
-        inf is the exact-statistics mode."""
-        if not self.clip_range > 0:
-            raise ConfigurationError(
-                f"clip range must be positive, got {self.clip_range}")
+        inf is the exact-statistics mode, a clip range of inf an error."""
+        if not 0 < self.clip_range < math.inf:
+            raise ConfigurationError("clip range must be positive and "
+                                     f"finite, got {self.clip_range}")
         if not self.epsilon > 0:
             raise ConfigurationError(
                 f"epsilon must be positive, got {self.epsilon}")
@@ -57,7 +57,10 @@ def dp_nf_init(X, model: FlowModel, config: InitConfig) -> FlowModel:
     statistics; mutates and returns the model.
 
     The total budget charged is (config.epsilon, config.delta); the scale
-    formula already splits it over the 2K noised statistics.
+    formula already splits it over the 2K noised statistics. A noisy
+    statistic, or the data normalized by it, that is not finite (a clip
+    range so wide that the noise overflows) raises ConfigurationError before
+    that layer is set; the layers before it are already set.
     """
     config.validate()
     X = np.asarray(X, dtype=float)
@@ -98,6 +101,12 @@ def dp_nf_init(X, model: FlowModel, config: InitConfig) -> FlowModel:
         else:
             next(streams)
         w = np.maximum(w, ACTNORM_SCALE_FLOOR)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = (Z - b) / w
+        if not (np.isfinite(b).all() and np.isfinite(w).all()
+                and np.isfinite(Z).all()):
+            raise ConfigurationError(
+                "noisy actnorm statistics or the data they normalize are not "
+                f"finite at clip range {config.clip_range:g}")
         layer.set_param_tensors([w, b])
-        Z = (Z - b) / w
     return model

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln, log_ndtr, logsumexp, ndtr
 
 from dpflow import accounting as acc
 from dpflow.errors import (ConfigurationError, DpflowError,
@@ -49,6 +50,81 @@ def rdp_curve_loop_oracle(q, sigma, orders):
                          + (j - 1) * j * inv / 2.0 + math.log(2.0))
         curve.append(float(logsumexp(terms)) / (alpha - 1))
     return np.array(curve)
+
+
+# Below the smallest normal double a CDF (x < -37.5) or its upper tail
+# (x > 37.5) is subnormal or underflows to zero, with fewer significant bits
+# on either side; there the special functions are compared absolutely.
+TINY = np.finfo(float).tiny
+
+# Log-spaced over [-1e8, 40], with the floats on both sides of 0, 6 and -20:
+# the branch points of ``_log_ndtr`` and the upper-tail cut of cephes.
+NDTR_GRID = np.unique(np.concatenate([
+    -np.geomspace(1e-8, 1e8, 4000), [0.0], np.geomspace(1e-8, 40.0, 2000),
+    [np.nextafter(x, side) for x in (0.0, 6.0, -20.0)
+     for side in (-np.inf, np.inf)], [6.0, -20.0]]))
+
+
+class TestSpecialFunctions:
+    """The numpy/math special functions of the accountant against scipy's,
+    which the package no longer imports."""
+
+    def test_ndtr_matches_scipy(self):
+        got = np.array([acc._ndtr(x) for x in NDTR_GRID])
+        np.testing.assert_allclose(got, ndtr(NDTR_GRID), rtol=1e-13,
+                                   atol=TINY)
+
+    def test_log_ndtr_matches_scipy(self):
+        got = np.array([acc._log_ndtr(x) for x in NDTR_GRID])
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, log_ndtr(NDTR_GRID), rtol=1e-13,
+                                   atol=TINY)
+
+    def test_expit_matches_scipy_without_warnings(self):
+        x = np.linspace(-1000.0, 1000.0, 200_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = acc._expit(x)
+            scalar = acc._expit(np.asarray(-1000.0))
+        np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=TINY)
+        assert scalar == 0.0 and got[0] == 0.0 and got[-1] == 1.0
+
+    def test_log_binomials_match_gammaln(self):
+        alphas = np.array(acc.DEFAULT_ORDERS, dtype=float)
+        a = alphas[:, None]
+        j = np.arange(alphas.max() + 1)[None, :]
+        want = gammaln(a + 1) - gammaln(j + 1) - gammaln(a - j + 1)
+        got = acc._log_binomials(alphas)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.isneginf(got), j > a)
+        np.testing.assert_array_equal(np.isneginf(want), j > a)
+        assert (got[:, 0] == 0.0).all()
+        # A log-term off by d moves the RDP curve by at most d relative, so
+        # this bound keeps rdp_curve within the loop oracle's rtol 1e-12.
+        finite = j <= a
+        np.testing.assert_allclose(got[finite], want[finite], rtol=0,
+                                   atol=1e-12)
+
+    def test_logsumexp_rows_matches_scipy(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(scale=30.0, size=(50, 40))
+        x[rng.random(x.shape) < 0.3] = -np.inf
+        x[:, 0] = rng.normal(size=50)  # a finite maximum in every row
+        got = acc._logsumexp_rows(x)
+        np.testing.assert_allclose(got, logsumexp(x, axis=1), rtol=1e-15)
+
+    def test_logsumexp_rows_small_term_keeps_precision(self):
+        """Order 2 at q = 2^-9, sigma = 1: the row is [0, t] with e^t about
+        2e-5, where log(1 + e^t) rounded through 1 + e^t is off by ~4e-12
+        relative; the top term is left out of the sum and log1p taken."""
+        t = float(acc._log_binomials(np.array([2.0]))[0, 2]) \
+            + 2.0 * math.log(2.0 ** -9) + math.log(2.0) + 1.0
+        got = float(acc._logsumexp_rows(np.array([[0.0, -np.inf, t]]))[0])
+        with mp.workdps(40):
+            want = float(mp.log(1 + mp.e ** mp.mpf(t)))
+        assert got == pytest.approx(want, rel=1e-15)
+        assert got == pytest.approx(acc.rdp_curve(2.0 ** -9, 1.0, (2,))[0],
+                                    rel=1e-15)
 
 
 class TestRdpCurve:

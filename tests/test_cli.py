@@ -418,6 +418,25 @@ def test_init_nan_epsilon_exit_code(small_data, tmp_path, capsys):
     assert not (tmp_path / "init.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("ctilde, message", [
+    ("inf", "clip range must be positive and finite"),
+    ("nan", "clip range must be positive and finite"),
+    ("1e308", "not finite at clip range 1e+308")])
+def test_init_non_finite_clip_range_exit_code(small_data, tmp_path, capsys,
+                                              ctilde, message):
+    """A clip range that is not finite, or so wide that the noisy
+    statistics or the data they normalize overflow, exits 1 and writes no
+    model instead of one holding infinities and NaNs."""
+    model = tmp_path / "init.json"
+    code, err = run_main(["init", "--data", str(small_data), "--out",
+                          str(model), "--ctilde", ctilde, "--blocks", "2",
+                          "--hidden", "4"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not model.exists()
+    assert not (tmp_path / "init.json.manifest.json").exists()
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("downstream-knn", ["--k", "0"], "k must be >= 1"),
     ("downstream-knn", ["--k", "-1"], "k must be >= 1"),
@@ -670,6 +689,38 @@ def test_config_value_under_command_line_flag_ignored(tmp_path, capsys):
     manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
     assert (manifest["config"]["n"], manifest["config"]["seed"],
             manifest["config"]["arms"]) == (20, 1, 3)
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_unknown_config_key_exit_code(tmp_path, capsys, manifest):
+    """A config key that names no option of the command (here a typo of
+    ``noise_std``) exits 1 naming the file and the key, instead of leaving
+    the option at its default."""
+    settings = {"shape": "half-moons", "n": 20, "noise_sd": 0.5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "gen-data", "config": settings}
+                              if manifest else settings))
+    out = tmp_path / "rows.csv"
+    code, err = run_main(["gen-data", "--config", str(cfg), "--out",
+                          str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and str(cfg) in err and "noise_sd" in err
+    assert not out.exists()
+    assert not (tmp_path / "rows.csv.manifest.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the CLI in a fresh interpreter loads no scipy module:
+    scipy.special alone about doubles the start-up time and resident memory
+    of every ``dpflow`` command."""
+    import subprocess
+    import sys
+    code = ("import sys, dpflow.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 REQUIRED_OPTIONS = {

@@ -397,6 +397,16 @@ class TestDpNfInit:
         with pytest.raises(ConfigurationError, match=message):
             InitConfig(**{field: math.nan}).validate()
 
+    def test_overflowing_statistics_rejected(self):
+        """At a clip range near the float maximum the noisy statistics or
+        the data they normalize overflow; that raises before the layer is
+        set, instead of writing infinities and NaNs into it."""
+        X = np.random.default_rng(4).normal(size=(200, 2))
+        model = build_maf(2, n_blocks=2, hidden=4, actnorm=True, seed=0)
+        with pytest.raises(ConfigurationError, match="not finite"):
+            dp_nf_init(X, model, InitConfig(clip_range=1e308, seed=1))
+        assert np.isfinite(model.params).all()
+
     def test_requires_actnorm_layers(self):
         model = build_maf(2, n_blocks=1, hidden=4, actnorm=False, seed=0)
         with pytest.raises(ConfigurationError):
