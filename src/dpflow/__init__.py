@@ -2,11 +2,9 @@
 flows: budget-gated noisy training, two privacy accountants, synthetic data
 generation and anomaly detection."""
 
-from .accounting import (Accountant, exp_mech_binary, gaussian_mechanism,
-                         gaussian_mechanism_sigma, gdp_delta_for_eps,
-                         gdp_eps_for_delta, gdp_mu, laplace_noise,
-                         rdp_curve, rdp_subsampled_gaussian, rdp_to_dp,
-                         steps_for_budget)
+from .accounting import (Accountant, exp_mech_binary, gdp_delta_for_eps,
+                         gdp_eps_for_delta, gdp_mu, laplace_noise, rdp_curve,
+                         rdp_to_dp, steps_for_budget)
 from .anomaly import (EnsembleDetector, RocCurve, build_ensemble,
                       gen_tail_anomalies, partition_indices, roc,
                       select_threshold)

@@ -10,8 +10,8 @@ ratio q, noise multiplier sigma, tolerance delta) to a spent epsilon:
   mu = q * sqrt(t * (exp(1/sigma^2) - 1)), converted analytically.
 
 ``steps_for_budget`` turns either into the number of steps a budget allows.
-Also provides the Gaussian and Laplace noise mechanisms and the binary
-exponential mechanism used for private vote aggregation.
+Also provides the Laplace noise mechanism and the binary exponential
+mechanism used for private vote aggregation.
 
 The few special functions these need (log-binomials, a row log-sum-exp, the
 normal CDF and its log, the logistic function) are written here with numpy
@@ -47,15 +47,20 @@ def _log_binomials(alphas: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x), axis=1)) for a 2-D ``x`` whose row maxima are
-    finite: the row maximum plus log1p of the other terms shifted by it, so
-    a row with one dominant term keeps full relative precision."""
-    rows = np.arange(x.shape[0])
+    """log(sum(exp(x), axis=1)) for a 2-D ``x`` whose row maxima are not
+    -inf: the row maximum plus log1p of the other terms shifted by it, so
+    a row with one dominant term keeps full relative precision. A row whose
+    maximum is +inf sums to +inf (shifting by it would give NaN)."""
     top_at = np.argmax(x, axis=1)
-    top = x[rows, top_at]
+    top = x[np.arange(x.shape[0]), top_at]
+    out = np.full(top.shape, np.inf)
+    finite = ~np.isposinf(top)
+    x, top, top_at = x[finite], top[finite], top_at[finite]
+    rows = np.arange(x.shape[0])
     shifted = np.exp(x - top[:, None])
     shifted[rows, top_at] = 0.0
-    return top + np.log1p(shifted.sum(axis=1))
+    out[finite] = top + np.log1p(shifted.sum(axis=1))
+    return out
 
 
 def _ndtr(x: float) -> float:
@@ -101,7 +106,9 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     bound is a binomial series in q over j = 0..alpha. All orders are
     evaluated at once: one (orders x j) matrix of log-terms (-inf where
     j == 1 or j > alpha) and one log-sum-exp along j, so large orders do not
-    overflow.
+    overflow. For a sigma so small that a term's exponent (j-1) j / (2
+    sigma^2) overflows, that term and its order's value are +inf, with no
+    warning; a 1/sigma^2 that overflows makes every order +inf.
     """
     alphas = np.asarray(orders, dtype=float).ravel()
     if alphas.size == 0:
@@ -112,16 +119,24 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
             f"order must be an integer >= 2, got {bad[0]:g}")
     if not 0.0 < q <= 1.0:
         raise ConfigurationError(f"sampling ratio must be in (0, 1], got {q}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ConfigurationError(f"noise multiplier must be positive, got {sigma}")
 
-    inv = 1.0 / (sigma * sigma)  # eps(2) of the base mechanism
+    # eps(2) of the base mechanism; when it overflows, so does the j = 2
+    # term of every order.
+    inv = 1.0 / (sigma * sigma) if sigma * sigma > 0.0 else math.inf
+    if inv == math.inf:
+        return np.full(alphas.shape, np.inf)
     log_q = math.log(q)
     j = np.arange(int(alphas.max()) + 1, dtype=float)[None, :]
     # log C(alpha, j) is -inf for j > alpha, and so is every such term.
     log_binom = _log_binomials(alphas)
+    with np.errstate(over="ignore"):
+        exponent = (j - 1) * j / 2.0 * inv
+    # An exponent that overflowed to inf must not meet those -inf (NaN).
+    exponent = np.where(log_binom > -np.inf, exponent, 0.0)
     # j >= 3 terms: q^j C(alpha,j) e^{(j-1) eps(j)} * 2.
-    terms = j * log_q + log_binom + (j - 1) * j * inv / 2.0 + math.log(2.0)
+    terms = j * log_q + log_binom + exponent + math.log(2.0)
     # j = 2 term: q^2 C(alpha,2) min{4(e^eps2 - 1), 2 e^eps2}.
     # log(4(e^x - 1)) = log 4 + x + log1p(-e^-x) is stable for all x > 0.
     log_b2 = min(math.log(4.0) + inv + math.log1p(-math.exp(-inv)),
@@ -130,11 +145,6 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     terms[:, 0] = 0.0
     terms[:, 1] = -np.inf
     return _logsumexp_rows(terms) / (alphas - 1.0)
-
-
-def rdp_subsampled_gaussian(alpha: int, q: float, sigma: float) -> float:
-    """``rdp_curve`` at the single order ``alpha``."""
-    return float(rdp_curve(q, sigma, (alpha,))[0])
 
 
 def rdp_to_dp(orders, curve, delta: float) -> float:
@@ -263,24 +273,6 @@ def steps_for_budget(eps_fn, epsilon: float, t_max: int = 10_000_000) -> int:
         else:
             hi = mid
     return lo
-
-
-def gaussian_mechanism_sigma(l2_sensitivity: float, eps: float, delta: float) -> float:
-    """Noise std for an (eps, delta) guarantee on a query with the given
-    l2 sensitivity: sqrt(2 ln(1.25/delta)) * sensitivity / eps, taken with
-    equality plus a hair of margin."""
-    if eps <= 0.0 or not 0.0 < delta < 1.0 or l2_sensitivity <= 0.0:
-        raise ConfigurationError("need eps > 0, delta in (0,1), sensitivity > 0")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) * l2_sensitivity / eps * (1.0 + 1e-12)
-
-
-def gaussian_mechanism(value, l2_sensitivity: float, eps: float, delta: float,
-                       seed) -> np.ndarray:
-    """Add i.i.d. Gaussian noise calibrated for (eps, delta)."""
-    value = np.asarray(value, dtype=float)
-    sigma = gaussian_mechanism_sigma(l2_sensitivity, eps, delta)
-    rng = np.random.default_rng(seed)
-    return value + rng.normal(0.0, sigma, size=value.shape)
 
 
 def laplace_noise(value, scale: float, seed) -> np.ndarray:

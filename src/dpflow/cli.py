@@ -161,6 +161,13 @@ def _train_options(fn):
     return fn
 
 
+def _gdp_note(cfg) -> dict:
+    """Run metadata for a GDP-accounted run: its epsilon is the central-limit
+    approximation, not a bound."""
+    return ({"gdp_note": "CLT-approximate"} if cfg["accountant"] == "gdp"
+            else {})
+
+
 def _make_train_config(cfg) -> TrainConfig:
     return TrainConfig(
         learning_rate=cfg["lr"], batch_size=cfg["batch_size"],
@@ -251,8 +258,9 @@ def train(**cfg):
                "skipped_batches": rep.skipped_batches,
                "train_nll": rep.checkpoints[-1].train_nll,
                "holdout_nll": rep.checkpoints[-1].holdout_nll,
-               "gdp_note": "CLT-approximate" if cfg["accountant"] == "gdp" else None}
-    _write_manifest("train", cfg, {"spent_epsilon": rep.final_epsilon})
+               "gdp_note": _gdp_note(cfg).get("gdp_note")}
+    _write_manifest("train", cfg, {"spent_epsilon": rep.final_epsilon,
+                                   **_gdp_note(cfg)})
     _echo_json(summary)
 
 
@@ -311,7 +319,7 @@ def eval_ll(**cfg):
         per_fold.append(float(np.mean(model.log_prob(test_X))))
         click.echo(f"fold {fold}: test log-likelihood {per_fold[-1]:.4f}",
                    err=True)
-    _write_manifest("eval-ll", cfg)
+    _write_manifest("eval-ll", cfg, _gdp_note(cfg))
     _echo_json({"mean_test_log_likelihood": float(np.mean(per_fold)),
                 "std": float(np.std(per_fold)), "per_fold": per_fold})
 

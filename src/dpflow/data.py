@@ -180,6 +180,9 @@ def gen_half_moons(n: int, noise_std: float = 0.1, seed=0) -> Dataset:
     the origin, the lower shifted by (1, -0.5); angles uniform on [0, pi]."""
     if n < 2:
         raise ConfigurationError("n must be >= 2")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ConfigurationError(
+            f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     n_upper = (n + 1) // 2
     n_lower = n - n_upper
@@ -202,6 +205,8 @@ GAUSSIANS8_RADIUS, GAUSSIANS8_STD = 2.0, 0.2
 def gen_pinwheel(n: int, arms: int = 5, seed=0) -> Dataset:
     """Radial clusters at unit distance, one per arm, sheared by a rotation
     proportional to the point's radius."""
+    if arms < 1:
+        raise ConfigurationError(f"arms must be >= 1, got {arms}")
     if n < arms:
         raise ConfigurationError("need at least one point per arm")
     rng = np.random.default_rng(seed)
@@ -226,10 +231,18 @@ def gen_gaussians8(n: int, seed=0) -> Dataset:
     return Dataset(centers + GAUSSIANS8_STD * rng.standard_normal((n, 2)))
 
 
+# Test rows per distance block in ``knn_regress_mse``. The block's
+# (rows, n_train, D-1) float64 differences and their squares then take
+# 41 MB each for 27,000 training rows of 7 columns, whatever the test size.
+KNN_BLOCK_ROWS = 32
+
+
 def knn_regress_mse(train: Dataset, test: Dataset, k: int = 3) -> float:
     """Mean squared error predicting the last column from the others with
     k-nearest-neighbour mean aggregation (Euclidean metric; distance ties
-    broken toward the lower training-row index)."""
+    broken toward the lower training-row index). The distances are formed
+    for ``KNN_BLOCK_ROWS`` test rows at a time; each row's are the same
+    either way."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if train.dim != test.dim:
@@ -239,9 +252,12 @@ def knn_regress_mse(train: Dataset, test: Dataset, k: int = 3) -> float:
     Xte, yte = test.X[:, :-1], test.X[:, -1]
     if k > Xtr.shape[0]:
         raise ConfigurationError("k exceeds the training-set size")
-    d2 = np.sum((Xte[:, None, :] - Xtr[None, :, :]) ** 2, axis=2)
-    neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    preds = ytr[neighbours].mean(axis=1)
+    preds = np.empty(Xte.shape[0])
+    for lo in range(0, Xte.shape[0], KNN_BLOCK_ROWS):
+        block = Xte[lo:lo + KNN_BLOCK_ROWS]
+        d2 = np.sum((block[:, None, :] - Xtr[None, :, :]) ** 2, axis=2)
+        neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        preds[lo:lo + KNN_BLOCK_ROWS] = ytr[neighbours].mean(axis=1)
     return float(np.mean((preds - yte) ** 2))
 
 

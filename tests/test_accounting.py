@@ -31,6 +31,32 @@ def rdp_oracle(alpha, q, sigma):
         return float(mp.log(total) / (alpha - 1))
 
 
+def rdp_at(alpha, q, sigma):
+    """``rdp_curve`` at the single order ``alpha``."""
+    return float(acc.rdp_curve(q, sigma, (alpha,))[0])
+
+
+def gaussian_mechanism_sigma(l2_sensitivity, eps, delta):
+    """Noise std of the classic Gaussian mechanism for (eps, delta) on a
+    query with the given l2 sensitivity: sqrt(2 ln(1.25/delta)) *
+    sensitivity / eps, plus a hair of margin. The library releases nothing
+    through this mechanism; it is the oracle the noise-moment checks hold
+    numpy's Gaussian draws to."""
+    if eps <= 0.0 or not 0.0 < delta < 1.0 or l2_sensitivity <= 0.0:
+        raise ConfigurationError(
+            "need eps > 0, delta in (0,1), sensitivity > 0")
+    return math.sqrt(2.0 * math.log(1.25 / delta)) * l2_sensitivity / eps \
+        * (1.0 + 1e-12)
+
+
+def gaussian_mechanism(value, l2_sensitivity, eps, delta, seed):
+    """``value`` plus i.i.d. Gaussian noise calibrated for (eps, delta)."""
+    value = np.asarray(value, dtype=float)
+    sigma = gaussian_mechanism_sigma(l2_sensitivity, eps, delta)
+    rng = np.random.default_rng(seed)
+    return value + rng.normal(0.0, sigma, size=value.shape)
+
+
 def rdp_curve_loop_oracle(q, sigma, orders):
     """The per-order, per-term loop that the one-array ``rdp_curve``
     replaced: a Python list of log-terms for each order, one logsumexp
@@ -113,6 +139,15 @@ class TestSpecialFunctions:
         got = acc._logsumexp_rows(x)
         np.testing.assert_allclose(got, logsumexp(x, axis=1), rtol=1e-15)
 
+    def test_logsumexp_rows_infinite_top_is_inf(self):
+        x = np.array([[0.0, np.inf, 3.0], [np.inf, np.inf, -np.inf],
+                      [0.0, -np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = acc._logsumexp_rows(x)
+        assert got[:2].tolist() == [math.inf, math.inf]
+        assert got[2] == pytest.approx(math.log1p(math.e), rel=1e-15)
+
     def test_logsumexp_rows_small_term_keeps_precision(self):
         """Order 2 at q = 2^-9, sigma = 1: the row is [0, t] with e^t about
         2e-5, where log(1 + e^t) rounded through 1 + e^t is off by ~4e-12
@@ -145,7 +180,7 @@ class TestRdpCurve:
 
     def test_single_order_is_the_curve(self):
         curve = acc.rdp_curve(0.02, 1.3, (2, 7, 64))
-        assert [acc.rdp_subsampled_gaussian(a, 0.02, 1.3)
+        assert [rdp_at(a, 0.02, 1.3)
                 for a in (2, 7, 64)] == curve.tolist()
 
     @pytest.mark.parametrize("orders", [(), (2, 1), (2.5,), (0,)])
@@ -154,27 +189,52 @@ class TestRdpCurve:
             acc.rdp_curve(0.01, 1.0, orders)
 
     @pytest.mark.parametrize("q, sigma", [(0.0, 1.0), (1.5, 1.0),
-                                          (0.1, 0.0), (0.1, -1.0)])
+                                          (0.1, 0.0), (0.1, -1.0),
+                                          (0.1, math.nan)])
     def test_bad_q_sigma_rejected(self, q, sigma):
         with pytest.raises(ConfigurationError):
             acc.rdp_curve(q, sigma)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+    def test_overflowing_inverse_variance_is_inf(self, sigma):
+        """1/sigma^2 overflows at 1e-160, and sigma^2 underflows to 0 at
+        1e-170: every order is +inf, not NaN, and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = acc.rdp_curve(0.01, sigma)
+            eps = acc.Accountant("rdp", 0.01, sigma, 1e-5).eps(1)
+        assert np.isposinf(curve).all()
+        assert eps == math.inf
+
+    def test_overflowing_terms_are_inf(self):
+        """At sigma = 1e-153 the exponent (j-1) j / (2 sigma^2) overflows
+        from j = 20 on: orders 2..19 keep their finite values (about 1e306)
+        and orders from 20 on are +inf, not NaN, and nothing warns. At
+        2e-152 no exponent overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = acc.rdp_curve(0.01, 1e-153)
+            assert np.isfinite(acc.rdp_curve(0.01, 2e-152)).all()
+        assert np.isposinf(curve[18:]).all()
+        for alpha in (2, 10, 19):
+            assert curve[alpha - 2] == pytest.approx(
+                rdp_oracle(alpha, 0.01, 1e-153), rel=1e-12)
+
 
 class TestRdpSubsampledGaussian:
     def test_vanishing_sampling_ratio(self):
-        assert acc.rdp_subsampled_gaussian(2, 1e-12, 2.0) < 1e-20
+        assert rdp_at(2, 1e-12, 2.0) < 1e-20
 
     def test_order2_closed_form(self):
         # eps(2) = 0.25; min{4(e^.25-1), 2e^.25} = 4(e^.25-1);
         # value = ln(1 + 1e-4 * 4(e^.25-1))
         expected = math.log(1 + 1e-4 * 4 * (math.exp(0.25) - 1))
-        got = acc.rdp_subsampled_gaussian(2, 0.01, 2.0)
+        got = rdp_at(2, 0.01, 2.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.13604e-4, rel=1e-5)
 
     def test_monotone_in_sigma(self):
-        assert acc.rdp_subsampled_gaussian(4, 0.01, 4.0) \
-            < acc.rdp_subsampled_gaussian(4, 0.01, 2.0)
+        assert rdp_at(4, 0.01, 4.0) < rdp_at(4, 0.01, 2.0)
 
     def test_matches_oracle_across_grid(self):
         rng = np.random.default_rng(5)
@@ -182,16 +242,16 @@ class TestRdpSubsampledGaussian:
             alpha = int(rng.integers(2, 65))
             q = float(rng.uniform(1e-4, 0.05))
             sigma = float(rng.uniform(0.5, 10.0))
-            got = acc.rdp_subsampled_gaussian(alpha, q, sigma)
+            got = rdp_at(alpha, q, sigma)
             want = rdp_oracle(alpha, q, sigma)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_large_order_no_overflow(self):
-        assert np.isfinite(acc.rdp_subsampled_gaussian(256, 0.05, 0.5))
+        assert np.isfinite(rdp_at(256, 0.05, 0.5))
 
     def test_rejects_order_below_two(self):
         with pytest.raises(ConfigurationError):
-            acc.rdp_subsampled_gaussian(1, 0.01, 1.0)
+            rdp_at(1, 0.01, 1.0)
 
     def test_composition_is_linear(self):
         curve = acc.rdp_curve(0.01, 1.5, orders=range(2, 33))
@@ -348,24 +408,24 @@ class TestStepsForBudget:
 class TestGaussianMechanism:
     def test_sigma_closed_form(self):
         want = math.sqrt(2 * math.log(1.25e5))
-        assert acc.gaussian_mechanism_sigma(1.0, 1.0, 1e-5) \
+        assert gaussian_mechanism_sigma(1.0, 1.0, 1e-5) \
             == pytest.approx(want, rel=1e-9)
-        assert acc.gaussian_mechanism_sigma(1.0, 1.0, 1e-5) \
+        assert gaussian_mechanism_sigma(1.0, 1.0, 1e-5) \
             == pytest.approx(4.84481, abs=2e-5)
 
     def test_empirical_std(self):
-        out = acc.gaussian_mechanism(np.zeros(100_000), 1.0, 1.0, 1e-5, seed=3)
-        sigma = acc.gaussian_mechanism_sigma(1.0, 1.0, 1e-5)
+        out = gaussian_mechanism(np.zeros(100_000), 1.0, 1.0, 1e-5, seed=3)
+        sigma = gaussian_mechanism_sigma(1.0, 1.0, 1e-5)
         assert np.std(out) == pytest.approx(sigma, rel=0.02)
 
     def test_seeded_determinism(self):
-        a = acc.gaussian_mechanism(np.arange(5.0), 1.0, 0.5, 1e-6, seed=11)
-        b = acc.gaussian_mechanism(np.arange(5.0), 1.0, 0.5, 1e-6, seed=11)
+        a = gaussian_mechanism(np.arange(5.0), 1.0, 0.5, 1e-6, seed=11)
+        b = gaussian_mechanism(np.arange(5.0), 1.0, 0.5, 1e-6, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            acc.gaussian_mechanism(np.zeros(2), 1.0, 0.0, 1e-5, seed=0)
+            gaussian_mechanism(np.zeros(2), 1.0, 0.0, 1e-5, seed=0)
 
 
 class TestLaplaceNoise:

@@ -54,6 +54,25 @@ def test_gen_data_shapes(runner, tmp_path):
         assert len(read_csv_rows(out)) == 64
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--shape", "pinwheel", "--arms", "0"], "arms must be >= 1"),
+    (["--shape", "pinwheel", "--arms", "-2"], "arms must be >= 1"),
+    (["--shape", "half-moons", "--noise-std", "-0.5"], "noise_std"),
+    (["--shape", "half-moons", "--noise-std", "nan"], "noise_std"),
+    (["--shape", "half-moons", "--noise-std", "inf"], "noise_std")])
+def test_gen_data_bad_shape_setting_exit_code(tmp_path, capsys, extra,
+                                              message):
+    """Zero arms wrote NaN rows and a negative or NaN noise level
+    noise-free arcs, both with exit 0; now exit 1 and no CSV."""
+    out = tmp_path / "d.csv"
+    code, err = run_main(["gen-data", "--n", "50", "--out", str(out)]
+                         + extra, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+    assert not (tmp_path / "d.csv.manifest.json").exists()
+
+
 def test_accountant_gdp_below_rdp(runner, tmp_path):
     out = tmp_path / "acct.csv"
     result = runner.invoke(cli, [
@@ -170,6 +189,30 @@ def test_eval_ll_small(runner, small_data, tmp_path):
     summary = json.loads(result.output.strip().splitlines()[-1])
     assert len(summary["per_fold"]) == 2
     assert np.isfinite(summary["mean_test_log_likelihood"])
+
+
+@pytest.mark.parametrize("accountant", ["gdp", "rdp"])
+def test_manifest_gdp_note(runner, small_data, tmp_path, accountant):
+    """A GDP-accounted ``train`` or ``eval-ll`` run labels its epsilon
+    CLT-approximate in its manifest, as ``train`` does on stdout; an RDP
+    run's manifest has no such key."""
+    train_manifest, eval_manifest = tmp_path / "t.json", tmp_path / "e.json"
+    result = runner.invoke(cli, train_args(
+        small_data, tmp_path / "model.json", accountant=accountant,
+        manifest=train_manifest))
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output.strip().splitlines()[-1])
+    result = runner.invoke(cli, [
+        "eval-ll", "--data", str(small_data), "--folds", "2",
+        "--batch-size", "32", "--max-steps", "2", "--epsilon", "10",
+        "--blocks", "1", "--hidden", "4", "--accountant", accountant,
+        "--manifest", str(eval_manifest)])
+    assert result.exit_code == 0, result.output
+    note = {"gdp_note": "CLT-approximate"} if accountant == "gdp" else {}
+    assert summary["gdp_note"] == note.get("gdp_note")
+    for path in (train_manifest, eval_manifest):
+        doc = json.loads(path.read_text())
+        assert {k: v for k, v in doc.items() if k == "gdp_note"} == note
 
 
 def test_anomaly_roc(runner, small_data, tmp_path):

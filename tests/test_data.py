@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dpflow import data
 from dpflow.data import (Dataset, _parse_plain, dimwise_histogram,
                          gen_gaussians8, gen_half_moons, gen_pinwheel,
                          knn_regress_mse, load_csv, make_cv_splits,
@@ -364,6 +365,13 @@ class TestHalfMoons:
         np.testing.assert_array_equal(gen_half_moons(100, seed=5).X,
                                       gen_half_moons(100, seed=5).X)
 
+    @pytest.mark.parametrize("noise_std", [-0.5, np.nan, np.inf])
+    def test_bad_noise_std_rejected(self, noise_std):
+        """A negative or NaN noise level gave noise-free arcs; it is
+        refused, as is an infinite one."""
+        with pytest.raises(ConfigurationError, match="noise_std"):
+            gen_half_moons(100, noise_std=noise_std, seed=0)
+
 
 class TestPinwheelAndGaussians:
     def test_pinwheel_noise_free_clusters(self, monkeypatch):
@@ -376,6 +384,12 @@ class TestPinwheelAndGaussians:
         labels = fcluster(linkage(ds.X, method="single"), t=0.1,
                           criterion="distance")
         assert len(np.unique(labels)) == 5
+
+    @pytest.mark.parametrize("arms", [0, -3])
+    def test_pinwheel_arms_below_one_rejected(self, arms):
+        """Zero arms gave NaN rows; fewer than one arm is refused."""
+        with pytest.raises(ConfigurationError, match="arms must be >= 1"):
+            gen_pinwheel(100, arms=arms, seed=0)
 
     def test_pinwheel_row_count_and_determinism(self):
         assert gen_pinwheel(12345, seed=0).n == 12345
@@ -437,6 +451,22 @@ class TestKnn:
             k = int(rng.integers(1, min(6, n + 1)))
             assert knn_regress_mse(Dataset(train), Dataset(test), k=k) \
                 == pytest.approx(knn_oracle(train, test, k), rel=1e-12)
+
+    def test_block_edges_match_oracle(self, monkeypatch):
+        """Test-row counts at a block edge and across it agree with the
+        oracle, and bit for bit with the distances formed in one block."""
+        rng = np.random.default_rng(16)
+        train = rng.normal(size=(40, 3))
+        block = data.KNN_BLOCK_ROWS
+        for n_test in (block - 1, block, block + 1, 2 * block + 1):
+            test = rng.normal(size=(n_test, 3))
+            got = knn_regress_mse(Dataset(train), Dataset(test), k=3)
+            assert got == pytest.approx(knn_oracle(train, test, 3),
+                                        rel=1e-12)
+            with monkeypatch.context() as m:
+                m.setattr(data, "KNN_BLOCK_ROWS", n_test)
+                assert knn_regress_mse(Dataset(train), Dataset(test),
+                                       k=3) == got
 
     def test_k_exceeds_train(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,19 @@ class TestTrainDpNf:
             train_dp_nf(tiny_dataset(), model,
                         TrainConfig(batch_size=32, max_steps=10),
                         accountant=StubAccountant(lambda t: float("nan")))
+
+    def test_vanishing_noise_rdp_rejected(self):
+        """At sigma = 1e-160 the RDP epsilon is +inf, not NaN, and the run
+        is refused before any step, with no RuntimeWarning on the way."""
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        before = model.params.copy()
+        cfg = TrainConfig(batch_size=32, max_steps=10, accountant="rdp",
+                          noise_multiplier=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                train_dp_nf(tiny_dataset(), model, cfg)
+        assert model.params.tobytes() == before.tobytes()
 
     def test_improvement_on_half_moons(self):
         ds = standardize(gen_half_moons(30_000, seed=1))
