@@ -138,8 +138,9 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     # j >= 3 terms: q^j C(alpha,j) e^{(j-1) eps(j)} * 2.
     terms = j * log_q + log_binom + exponent + math.log(2.0)
     # j = 2 term: q^2 C(alpha,2) min{4(e^eps2 - 1), 2 e^eps2}.
-    # log(4(e^x - 1)) = log 4 + x + log1p(-e^-x) is stable for all x > 0.
-    log_b2 = min(math.log(4.0) + inv + math.log1p(-math.exp(-inv)),
+    # log(4(e^x - 1)) = log 4 + x + log(-expm1(-x)) is stable for all
+    # x > 0, also where e^-x rounds to 1.
+    log_b2 = min(math.log(4.0) + inv + math.log(-math.expm1(-inv)),
                  math.log(2.0) + inv)
     terms[:, 2] = 2.0 * log_q + log_binom[:, 2] + log_b2
     terms[:, 0] = 0.0
@@ -160,8 +161,9 @@ def rdp_to_dp(orders, curve, delta: float) -> float:
 
 def gdp_mu(t: int, q: float, sigma: float) -> float:
     """CLT-approximate mu after t subsampled Gaussian steps."""
-    if sigma <= 0.0:
-        raise ConfigurationError("noise multiplier must be positive")
+    if not sigma > 0.0:
+        raise ConfigurationError(
+            f"noise multiplier must be positive, got {sigma}")
     if t < 0:
         raise ConfigurationError("step count must be nonnegative")
     if t == 0:

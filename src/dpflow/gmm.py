@@ -45,45 +45,50 @@ class GmmParams:
         return self.means.shape[1]
 
 
-def _log_joint(weights, means, variances, x) -> np.ndarray:
-    """log pi_m + log N(x_n; mean_m, diag var_m), shape (M, n).
+def _coordinate_rows(x) -> np.ndarray:
+    """Points (n, D) as contiguous coordinate rows (D, n)."""
+    return np.ascontiguousarray(np.asarray(x, dtype=float).T)
 
-    Component-major and built one coordinate at a time on (M, n) rows, so no
-    (n, M, D) temporary exists.
+
+def _log_joint(weights, means, variances, xt, joint, work) -> None:
+    """Write log pi_m + log N(x_n; mean_m, diag var_m) for coordinate rows
+    ``xt`` (D, n) into ``joint`` (M, n).
+
+    It starts from the per-component constant and gains
+    (x - mean)^2 * (-1/(2 var)) one coordinate at a time, formed in
+    ``work`` (M, n); both arrays belong to the caller.
     """
-    m, d = means.shape
-    quad = np.zeros((m, x.shape[0]))
-    diff = np.empty_like(quad)
+    d = xt.shape[0]
+    factor = -0.5 / variances
+    const = np.log(weights) - 0.5 * (np.sum(np.log(variances), axis=1)
+                                     + d * math.log(2 * math.pi))
+    joint[...] = const[:, None]
     for k in range(d):
-        np.subtract(x[:, k], means[:, k, None], out=diff)
-        diff *= diff
-        diff /= variances[:, k, None]
-        quad += diff
-    norm = np.sum(np.log(variances), axis=1) + d * math.log(2 * math.pi)
-    quad += norm[:, None]
-    quad *= -0.5
-    quad += np.log(weights)[:, None]
-    return quad
+        np.subtract(xt[k], means[:, k, None], out=work)
+        work *= work
+        work *= factor[:, k, None]
+        joint += work
 
 
-def _logsumexp_components(log_joint) -> np.ndarray:
-    """log sum_m exp(log_joint[m, n]) for each n, shifted by the column
-    maximum. A column whose entries are all -inf gives -inf."""
-    top = log_joint.max(axis=0)
+def _e_step(weights, means, variances, xt, joint, work, resp=True):
+    """One E-step on coordinate rows ``xt`` (D, n) in the caller's (M, n)
+    arrays ``joint`` and ``work``; returns the mixture log-density (n,).
+
+    The log-joint is shifted by its column maximum and exponentiated in
+    place, once. With ``resp`` the columns are then divided by their sums,
+    so ``joint`` holds the responsibilities r_mn; otherwise it holds the
+    shifted exponentials. A column whose entries are all -inf gives -inf.
+    """
+    _log_joint(weights, means, variances, xt, joint, work)
+    top = joint.max(axis=0)
     top[~np.isfinite(top)] = 0.0
-    shifted = log_joint - top
-    np.exp(shifted, out=shifted)
+    joint -= top
+    np.exp(joint, out=joint)
+    total = joint.sum(axis=0)
+    if resp:
+        joint /= total
     with np.errstate(divide="ignore"):
-        return np.log(shifted.sum(axis=0)) + top
-
-
-def _responsibilities(weights, means, variances, x):
-    """Posterior component probabilities (M, n) and the log-density (n,)."""
-    resp = _log_joint(weights, means, variances, x)
-    log_norm = _logsumexp_components(resp)
-    resp -= log_norm
-    np.exp(resp, out=resp)
-    return resp, log_norm
+        return np.log(total) + top
 
 
 def gmm_logpdf(gmm: GmmParams, x) -> np.ndarray:
@@ -92,24 +97,24 @@ def gmm_logpdf(gmm: GmmParams, x) -> np.ndarray:
     Accepts a single point (D,) or a batch (n, D); returns a scalar or (n,).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = _logsumexp_components(
-        _log_joint(gmm.weights, gmm.means, gmm.variances, pts))
-    return float(out[0]) if single else out
+    xt = _coordinate_rows(np.atleast_2d(x))
+    joint = np.empty((gmm.n_components, xt.shape[1]))
+    out = _e_step(gmm.weights, gmm.means, gmm.variances, xt, joint,
+                  np.empty_like(joint), resp=False)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def gmm_logpdf_and_grad(gmm: GmmParams, x: np.ndarray):
     """The mixture log-density (n,), as ``gmm_logpdf``, and its gradient
     with respect to x (n, D), sum_m r_mn (mean_m - x_n) / var_m, from one
     E-step; the gradient is built one coordinate at a time."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    resp, log_norm = _responsibilities(gmm.weights, gmm.means, gmm.variances,
-                                       pts)
-    grad = np.empty(pts.shape)
+    xt = _coordinate_rows(np.atleast_2d(x))
+    resp = np.empty((gmm.n_components, xt.shape[1]))
     diff = np.empty_like(resp)
-    for k in range(pts.shape[1]):
-        np.subtract(gmm.means[:, k, None], pts[:, k], out=diff)
+    log_norm = _e_step(gmm.weights, gmm.means, gmm.variances, xt, resp, diff)
+    grad = np.empty(xt.shape[::-1])
+    for k in range(xt.shape[0]):
+        np.subtract(gmm.means[:, k, None], xt[k], out=diff)
         diff /= gmm.variances[:, k, None]
         diff *= resp
         grad[:, k] = diff.sum(axis=0)
@@ -127,9 +132,13 @@ def gmm_sample(gmm: GmmParams, n: int, seed) -> np.ndarray:
 
 
 def _kmeanspp_centers(X: np.ndarray, m: int, rng) -> np.ndarray:
+    """k-means++ seeding: each next center is a row drawn with probability
+    proportional to its squared distance to the nearest center so far. The
+    distances to the newest center fold into a running minimum."""
     centers = [X[rng.integers(len(X))]]
+    d2 = np.full(len(X), np.inf)
     for _ in range(m - 1):
-        d2 = np.min([np.sum((X - c) ** 2, axis=1) for c in centers], axis=0)
+        np.minimum(d2, np.sum((X - centers[-1]) ** 2, axis=1), out=d2)
         total = d2.sum()
         if total <= 0:
             centers.append(X[rng.integers(len(X))])
@@ -143,12 +152,13 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
 
     Returns (GmmParams, per-iteration mean log-likelihoods). The likelihood
     trace is nondecreasing except when ``VARIANCE_FLOOR`` or an empty-cluster
-    reseed intervenes. Both steps work on component-major (M, n) arrays; the
-    M-step variances are sum_n r_mn (x_nd - mean_md)^2 / sum_n r_mn, one
-    coordinate at a time. ``n_components < 1`` or ``n_iters < 0`` raises
-    ConfigurationError.
+    reseed intervenes. X is read once into contiguous coordinate rows, and
+    both steps work on two component-major (M, n) arrays that every
+    iteration reuses. The M-step variances are
+    sum_n r_mn (x_nd - mean_md)^2 / sum_n r_mn, one coordinate at a time.
+    ``n_components < 1`` or ``n_iters < 0`` raises ConfigurationError.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     n, d = X.shape
     if n_components < 1:
         raise ConfigurationError(
@@ -164,23 +174,28 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
                         (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
+    xt = _coordinate_rows(X)
+    resp = np.empty((n_components, n))
+    work = np.empty_like(resp)
     ll_trace = []
     for _ in range(n_iters):
-        resp, log_norm = _responsibilities(weights, means, variances, X)
+        log_norm = _e_step(weights, means, variances, xt, resp, work)
         ll_trace.append(float(np.mean(log_norm)))
 
         counts = resp.sum(axis=1)
         empty = counts < 1e-10
-        nonempty = ~empty
-        r = resp[nonempty]
-        c = counts[nonempty]
-        means[nonempty] = (r @ X) / c[:, None]
-        rows = np.empty_like(r)
+        if empty.any():
+            keep = ~empty
+            r, c = resp[keep], counts[keep]
+        else:
+            keep, r, c = slice(None), resp, counts
+        means[keep] = (r @ xt.T) / c[:, None]
+        rows = work[:len(c)]
         for k in range(d):
-            np.subtract(X[:, k], means[nonempty, k, None], out=rows)
+            np.subtract(xt[k], means[keep, k, None], out=rows)
             rows *= rows
-            variances[nonempty, k] = np.maximum(
-                np.einsum("mn,mn->m", r, rows) / c, VARIANCE_FLOOR)
+            variances[keep, k] = np.maximum(
+                np.vecdot(r, rows) / c, VARIANCE_FLOOR)
         for m_idx in np.flatnonzero(empty):
             means[m_idx] = X[rng.integers(n)]
             variances[m_idx] = VARIANCE_FLOOR

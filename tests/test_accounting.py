@@ -195,6 +195,17 @@ class TestRdpCurve:
         with pytest.raises(ConfigurationError):
             acc.rdp_curve(q, sigma)
 
+    @pytest.mark.parametrize("sigma", [1e8, 1e9, 1e12])
+    def test_huge_sigma_is_finite(self, sigma):
+        """exp(-1/sigma^2) rounds to 1 from sigma about 1e8 on; the j = 2
+        term must not take log1p(-1) there. Every order stays finite and
+        nonnegative, and the j = 2 term alone sets order 2."""
+        curve = acc.rdp_curve(0.01, sigma)
+        assert np.isfinite(curve).all() and (curve >= 0.0).all()
+        assert curve[0] == pytest.approx(4 * 0.01 ** 2 / sigma ** 2,
+                                         rel=1e-9)
+        assert acc.Accountant("rdp", 0.01, sigma, 1e-5).eps(10) > 0.0
+
     @pytest.mark.parametrize("sigma", [1e-160, 1e-170])
     def test_overflowing_inverse_variance_is_inf(self, sigma):
         """1/sigma^2 overflows at 1e-160, and sigma^2 underflows to 0 at
@@ -285,6 +296,12 @@ class TestGdp:
     def test_mu_zero_steps(self):
         assert acc.gdp_mu(0, 0.01, 1.0) == 0.0
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, -math.inf])
+    def test_mu_bad_sigma_rejected(self, sigma):
+        for t in (0, 10):
+            with pytest.raises(ConfigurationError, match="noise multiplier"):
+                acc.gdp_mu(t, 0.01, sigma)
+
     def test_mu_reference_value(self):
         got = acc.gdp_mu(10_000, 4.676e-3, 2.1)
         want = 4.676e-3 * math.sqrt(10_000 * math.expm1(1 / 2.1 ** 2))
@@ -371,6 +388,15 @@ class TestAccountantEps:
             base = acc.Accountant(method, 0.005, 1.2, 1e-5).eps(500)
             assert acc.Accountant(method, 0.01, 1.2, 1e-5).eps(500) > base
             assert acc.Accountant(method, 0.005, 2.4, 1e-5).eps(500) < base
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_bad_sigma_rejected_both_methods(self, sigma):
+        """A NaN sigma once passed the GDP path's ``sigma <= 0`` check and
+        reported almost no privacy spent (eps 4.5e-13 after 10 steps)."""
+        with pytest.raises(ConfigurationError):
+            acc.Accountant("rdp", 0.01, sigma, 1e-5)
+        with pytest.raises(ConfigurationError):
+            acc.Accountant("gdp", 0.01, sigma, 1e-5).eps(10)
 
     def test_steps_for_budget_is_last_step_under_budget(self):
         a = acc.Accountant("gdp", 0.01, 1.0, 1e-5)

@@ -95,6 +95,20 @@ def test_accountant_stdout(runner):
     assert result.output.startswith("t,eps_rdp,eps_gdp,mu")
 
 
+def test_accountant_huge_sigma(runner, tmp_path):
+    """At sigma 1e9 exp(-1/sigma^2) rounds to 1; the table is still
+    written, with finite epsilons."""
+    out = tmp_path / "acct.csv"
+    result = runner.invoke(cli, [
+        "accountant", "--q", "0.01", "--sigma", "1e9", "--delta", "1e-5",
+        "--t-max", "10", "--out", str(out),
+        "--manifest", str(tmp_path / "manifest.json")])
+    assert result.exit_code == 0, result.output
+    rows = read_csv_rows(out)[1:]
+    assert len(rows) > 1
+    assert all(np.isfinite([float(v) for v in row]).all() for row in rows)
+
+
 @pytest.fixture
 def small_data(runner, tmp_path):
     path = tmp_path / "data.csv"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from dpflow import data
 from dpflow import gmm as gmm_module
 from dpflow.errors import ConfigurationError
 from dpflow.flows import ActNormLayer, build_maf
@@ -80,6 +81,20 @@ def gmm_fit_em_oracle(X, n_components, n_iters=100, seed=0,
             counts[m_idx] = 1.0
         weights = counts / counts.sum()
     return GmmParams(weights, means, variances), ll_trace
+
+
+def kmeanspp_centers_oracle(X, m, rng):
+    """k-means++ seeding as it was before the running minimum: every
+    round recomputes the distances to all centers chosen so far."""
+    centers = [X[rng.integers(len(X))]]
+    for _ in range(m - 1):
+        d2 = np.min([np.sum((X - c) ** 2, axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(X[rng.integers(len(X))])
+            continue
+        centers.append(X[rng.choice(len(X), p=d2 / total)])
+    return np.array(centers)
 
 
 def assert_close_to_scale(got, want, rel=1e-12):
@@ -234,6 +249,73 @@ class TestAgainstRowMajorOracle:
                      (got.variances, want.variances)):
             assert_close_to_scale(a, b)
         assert_close_to_scale(got_trace, want_trace)
+
+
+class TestLongEmRuns:
+    """EM at the size of the pinwheel benchmark's fit, against the oracle
+    and across memory layouts."""
+
+    @staticmethod
+    def assert_fit_close(got, want):
+        (gmm, trace), (oracle, oracle_trace) = got, want
+        for a, b in ((gmm.weights, oracle.weights), (gmm.means, oracle.means),
+                     (gmm.variances, oracle.variances)):
+            assert_close_to_scale(a, b)
+        assert_close_to_scale(trace, oracle_trace)
+
+    def test_pinwheel_size_matches_oracle(self):
+        X = data.standardize(data.gen_pinwheel(27_000, seed=4)).X
+        self.assert_fit_close(gmm_fit_em(X, 5, n_iters=100, seed=7),
+                              gmm_fit_em_oracle(X, 5, n_iters=100, seed=7))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_component_on_variance_floor_matches_oracle(self, seed):
+        # 60 copies of one point: from the second iteration on one
+        # component holds exactly them, with both variances on the floor.
+        rng = np.random.default_rng(23)
+        X = np.vstack([rng.normal(size=(600, 2)),
+                       np.tile([6.0, -4.0], (60, 1))])
+        X = X[rng.permutation(len(X))]
+        floored = []
+        for iters in (2, 20, 60):
+            gmm, _ = gmm_fit_em(X, 4, n_iters=iters, seed=seed)
+            floored.append(np.flatnonzero(
+                np.all(gmm.variances == VARIANCE_FLOOR, axis=1)).tolist())
+        assert len(floored[0]) == 1 and floored == [floored[0]] * 3
+        self.assert_fit_close(gmm_fit_em(X, 4, n_iters=60, seed=seed),
+                              gmm_fit_em_oracle(X, 4, n_iters=60, seed=seed))
+
+    def test_memory_layout_gives_same_bytes(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(3_000, 3)) + rng.normal(0.0, 3.0, (1, 3))
+        wide = np.zeros((len(X), 2 * X.shape[1]))
+        wide[:, ::2] = X
+        want, want_trace = gmm_fit_em(X, 4, n_iters=30, seed=1)
+        for layout in (np.asfortranarray(X), wide[:, ::2]):
+            got, got_trace = gmm_fit_em(layout, 4, n_iters=30, seed=1)
+            for field in ("weights", "means", "variances"):
+                assert getattr(got, field).tobytes() \
+                    == getattr(want, field).tobytes()
+            assert got_trace == want_trace
+
+
+class TestKmeansppSeeding:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_recomputing_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        X = rng.normal(size=(500, 3)) * rng.uniform(0.1, 3.0, 3)
+        m = 2 + seed
+        got = gmm_module._kmeanspp_centers(X, m, np.random.default_rng(seed))
+        want = kmeanspp_centers_oracle(X, m, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+    def test_identical_rows_match_oracle(self):
+        # Every distance is zero, so each center comes from the fallback
+        # uniform draw.
+        X = np.tile([1.5, -2.0], (40, 1))
+        got = gmm_module._kmeanspp_centers(X, 4, np.random.default_rng(3))
+        want = kmeanspp_centers_oracle(X, 4, np.random.default_rng(3))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGmmSample:
