@@ -56,7 +56,9 @@ def _log_joint(weights, means, variances, xt, joint, work) -> None:
 
     It starts from the per-component constant and gains
     (x - mean)^2 * (-1/(2 var)) one coordinate at a time, formed in
-    ``work`` (M, n); both arrays belong to the caller.
+    ``work`` (M, n); both arrays belong to the caller. The square stays
+    centred: the expanded x^2/var - 2 x mean/var + mean^2/var cancels at
+    floor variances.
     """
     d = xt.shape[0]
     factor = -0.5 / variances
