@@ -9,6 +9,7 @@ stdout with tables as CSV files.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -183,7 +184,8 @@ def _build_model(cfg, X_train, dim, seed):
                       actnorm=cfg["actnorm"], seed=seed)
     if cfg["base"] == "gmm":
         # Fit the mixture in the latent frame the base actually sees (at the
-        # identity initialization, the stack's net permutation of the data).
+        # identity initialization, the stack's net permutation of the data;
+        # the zero-head MADE layers are skipped, so no trunk runs).
         latent = model.transform_to_base(X_train)
         params, _ = gmm_fit_em(latent, cfg["gmm_components"],
                                n_iters=cfg["gmm_iters"], seed=seed)
@@ -397,7 +399,7 @@ def anomaly_roc(**cfg):
     _write_rows(cfg["out"], ["threshold", "fpr", "tpr"],
                 np.column_stack([curve.thresholds, curve.fpr, curve.tpr]))
     threshold, accuracy = ad.select_threshold(scores, labels)
-    _write_manifest("anomaly-roc", cfg)
+    _write_manifest("anomaly-roc", cfg, {"private": False})
     _echo_json({"auc": curve.auc, "best_threshold": threshold,
                 "best_accuracy": accuracy})
 
@@ -421,6 +423,10 @@ def dp_ad(**cfg):
         grid = [float(token) for token in cfg["eps_grid"].split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"--eps: {exc}") from None
+    for eps in grid:
+        if not 0.0 <= eps < math.inf:
+            raise ConfigurationError(
+                f"--eps: each value must be finite and >= 0, got {eps}")
     if not 0.0 < cfg["test_frac"] < 1.0:
         raise ConfigurationError(
             f"--test-frac must be in (0, 1), got {cfg['test_frac']}")
@@ -446,9 +452,10 @@ def dp_ad(**cfg):
         released = exp_mech_binary(votes, detector.k, eps, child)
         rows.append([eps, float(np.mean(released == labels))])
     _write_rows(cfg["out"], ["eps", "accuracy"], rows)
+    # Simple composition over the queries: one total per row of the CSV.
     _write_manifest("dp-ad", cfg, {
         "threshold": detector.threshold,
-        "cumulative_epsilon": "query_count * eps per row (simple composition)"})
+        "cumulative_epsilon": [len(labels) * eps for eps in grid]})
     _echo_json({"k": cfg["k"], "queries": int(len(labels)),
                 "threshold": detector.threshold, "out": cfg["out"]})
 
@@ -471,7 +478,7 @@ def downstream_knn(**cfg):
     synth = dt.Dataset(model.sample(train_ds.n, cfg["seed"]))
     baseline = dt.knn_regress_mse(train_ds, test_ds, k=cfg["k"])
     synthetic = dt.knn_regress_mse(synth, test_ds, k=cfg["k"])
-    _write_manifest("downstream-knn", cfg)
+    _write_manifest("downstream-knn", cfg, {"private": False})
     _echo_json({"baseline_mse": baseline, "synthetic_mse": synthetic,
                 "k": cfg["k"]})
 
@@ -488,7 +495,7 @@ def project_pca(**cfg):
     _write_rows(cfg["out"],
                 [f"pc{i + 1}" for i in range(cfg["components"])],
                 projected)
-    _write_manifest("project-pca", cfg)
+    _write_manifest("project-pca", cfg, {"private": False})
     _echo_json({"components": comps.tolist(), "out": cfg["out"]})
 
 
@@ -506,7 +513,7 @@ def hist(**cfg):
             rows.append([j, float(edges[b]), float(edges[b + 1]),
                          int(counts[b])])
     _write_rows(cfg["out"], ["dim", "bin_left", "bin_right", "count"], rows)
-    _write_manifest("hist", cfg)
+    _write_manifest("hist", cfg, {"private": False})
     _echo_json({"dims": ds.dim, "bins": cfg["bins"], "out": cfg["out"]})
 
 

@@ -131,6 +131,13 @@ class MadeLayer(_ParamTensors):
         self.bm = np.zeros(dim)
         self.ba = np.zeros(dim)
 
+    def heads_are_zero(self) -> bool:
+        """Whether the shift and log-scale heads (Wm, Wa, bm, ba) are all
+        zero, as ``__init__`` leaves them: then mu = alpha = 0, and the layer
+        maps every row whose trunk is finite to itself with log-det 0."""
+        return not (self.Wm.any() or self.Wa.any() or self.bm.any()
+                    or self.ba.any())
+
     def _masked_weights(self):
         """The masked trunk and head weights (W1, W2, Wm, Wa), formed once
         per pass."""

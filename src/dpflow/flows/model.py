@@ -213,7 +213,9 @@ class FlowModel:
     def transform_to_base(self, x) -> np.ndarray:
         """Image of x under the layer stack (the point whose base density
         enters log_prob). Useful for fitting a data-dependent base: at the
-        identity initialization this is exactly the stack's net permutation."""
+        identity initialization this is exactly the stack's net permutation
+        (and the actnorm maps), and ``push_rows`` skips the zero-head MADE
+        layers, so no trunk runs."""
         self._require_plain("transform_to_base")
         pts, single = self._check_input(x)
         z, _ = push_rows(self.layers, pts)
@@ -367,16 +369,27 @@ def push_rows(layers, x, inverse=False, check=False):
     ``forward`` (or ``inverse``), in blocks of at most BLOCK_ROWS rows, so
     the layers' per-row temporaries stay bounded whatever the batch size.
 
+    A MADE layer whose heads are all zero (``heads_are_zero``, decided once
+    per call) is the identity and is skipped, so a freshly built model's
+    passes run only its reversal and actnorm layers. Its log-det would be
+    a zero, which leaves the sums' bytes unchanged. Unlike the trunk pass,
+    a skipped layer keeps a -0.0 input of ``inverse`` as -0.0 (the pass
+    gave +0.0) and leaves a row whose trunk overflows as it is (the pass
+    gave NaN from inf * 0).
+
     Returns (image (n, D), summed per-row log-determinants (n,)). With
-    ``check``, a non-finite image or log-determinant after layer i raises
+    ``check``, a non-finite image or log-determinant after layer i (the
+    index in ``layers``, skipped layers counted) raises
     NumericalOverflowError with ``layer_index`` i.
     """
+    live = [(i, layer) for i, layer in enumerate(layers)
+            if not (isinstance(layer, MadeLayer) and layer.heads_are_zero())]
     out = np.empty(x.shape)
     total = np.zeros(x.shape[0])
     for start in range(0, x.shape[0], BLOCK_ROWS):
         z = x[start:start + BLOCK_ROWS]
         block_total = total[start:start + BLOCK_ROWS]
-        for i, layer in enumerate(layers):
+        for i, layer in live:
             z, ld = layer.inverse(z) if inverse else layer.forward(z)
             if check and not (np.all(np.isfinite(z))
                               and np.all(np.isfinite(ld))):

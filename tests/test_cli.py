@@ -287,6 +287,78 @@ def test_dp_ad_bad_eps_grid(small_data, tmp_path, capsys, eps, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["-1", "0.1,-0.5", "-1,nan,inf", "0.1,nan",
+                                 "1,inf", "-inf"])
+def test_dp_ad_bad_eps_refused_before_training(small_data, tmp_path, capsys,
+                                                monkeypatch, eps):
+    """A negative, NaN or infinite grid value is refused, naming --eps,
+    before the ensemble is built."""
+    calls = []
+    monkeypatch.setattr(ad, "build_ensemble",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "sweep.csv"
+    code, err = run_main([
+        "dp-ad", "--data", str(small_data), "--k", "2", "--eps", eps,
+        "--train-steps", "2", "--hidden", "4", "--blocks", "1",
+        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: --eps:") and "Traceback" not in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_dp_ad_manifest_cost_per_row(runner, small_data, tmp_path):
+    """The manifest gives one simple-composition total per row of the CSV,
+    query count times that row's eps, in the CSV's order."""
+    out, manifest = tmp_path / "sweep.csv", tmp_path / "m.json"
+    result = runner.invoke(cli, [
+        "dp-ad", "--data", str(small_data), "--k", "2",
+        "--eps", "0.1,1e-05,7,0", "--train-steps", "4", "--hidden", "4",
+        "--blocks", "1", "--out", str(out), "--manifest", str(manifest)])
+    assert result.exit_code == 0, result.output
+    queries = json.loads(result.output.strip().splitlines()[-1])["queries"]
+    eps_column = [float(row[0]) for row in read_csv_rows(out)[1:]]
+    assert eps_column == [0.1, 1e-05, 7.0, 0.0]
+    cost = json.loads(manifest.read_text())["cumulative_epsilon"]
+    assert cost == [queries * eps for eps in eps_column]
+
+
+@pytest.mark.parametrize("command", ["hist", "project-pca", "anomaly-roc",
+                                     "downstream-knn"])
+def test_raw_data_releases_labelled_non_private(runner, small_data,
+                                                query_model, tmp_path,
+                                                command):
+    """Outputs computed from the rows with no noise carry a top-level
+    ``"private": false``; ``--config <manifest>`` still reproduces them."""
+    args = {
+        "hist": ["--data", str(small_data), "--bins", "5"],
+        "project-pca": ["--data", str(small_data)],
+        "anomaly-roc": ["--model", str(query_model), "--data",
+                        str(small_data), "--seed", "4"],
+        "downstream-knn": ["--model", str(query_model), "--train",
+                           str(small_data), "--test", str(small_data),
+                           "--k", "3", "--seed", "2"],
+    }[command]
+    has_out = command != "downstream-knn"
+    out, manifest = tmp_path / "out.csv", tmp_path / "m.json"
+    first = runner.invoke(cli, [command, *args, "--manifest", str(manifest)]
+                          + (["--out", str(out)] if has_out else []))
+    assert first.exit_code == 0, first.output
+    doc = json.loads(manifest.read_text())
+    assert doc["private"] is False
+    assert "private" not in doc["config"]
+
+    again = tmp_path / "again.csv"
+    rerun = runner.invoke(cli, [command, "--config", str(manifest),
+                                "--manifest", str(tmp_path / "m2.json")]
+                          + (["--out", str(again)] if has_out else []))
+    assert rerun.exit_code == 0, rerun.output
+    if has_out:
+        assert again.read_bytes() == out.read_bytes()
+    else:
+        assert rerun.output == first.output
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--test-frac", "-0.1", "--test-frac must be in (0, 1)"),
     ("--test-frac", "0", "--test-frac must be in (0, 1)"),

@@ -12,7 +12,7 @@ from dpflow.errors import (ConfigurationError, NonFiniteInputError,
                            NumericalOverflowError)
 from dpflow.flows import (BLOCK_ROWS, ActNormLayer, FlowModel, GmmBase,
                           MadeLayer, ReversalLayer, SphericalGaussian,
-                          build_maf, made_degrees, made_masks)
+                          build_maf, made_degrees, made_masks, push_rows)
 from dpflow.gmm import GmmParams
 from dpflow.initialization import InitConfig, dp_nf_init
 from dpflow.training import (OptimizerState, TrainConfig, apply_update,
@@ -500,6 +500,141 @@ def init_oracle(X, model, config):
         layer.set_param_tensors([w, b])
         Z = (Z - b) / w
     return model
+
+
+def push_rows_oracle(layers, x, inverse=False, check=False):
+    """``push_rows`` as it was before zero-head MADE layers were skipped:
+    every layer runs on every block of rows."""
+    out = np.empty(x.shape)
+    total = np.zeros(x.shape[0])
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        z = x[start:start + BLOCK_ROWS]
+        block_total = total[start:start + BLOCK_ROWS]
+        for i, layer in enumerate(layers):
+            z, ld = layer.inverse(z) if inverse else layer.forward(z)
+            if check and not (np.all(np.isfinite(z))
+                              and np.all(np.isfinite(ld))):
+                raise NumericalOverflowError(
+                    f"non-finite values after layer {i}", layer_index=i)
+            block_total += ld
+        out[start:start + BLOCK_ROWS] = z
+    return out, total
+
+
+def with_oracle_push(monkeypatch):
+    """Route the model's passes and the private init through
+    ``push_rows_oracle`` until the returned undo is called."""
+    import dpflow.flows.model
+    import dpflow.initialization
+    for module in (dpflow.flows.model, dpflow.initialization):
+        monkeypatch.setattr(module, "push_rows", push_rows_oracle)
+    return monkeypatch.undo
+
+
+def fresh_queries(model, x):
+    """log_prob, transform_to_base and sample of ``model`` at rows x."""
+    return [model.log_prob(x), model.transform_to_base(x),
+            model.sample(x.shape[0], 5)]
+
+
+class TestZeroHeadSkip:
+    """A MADE layer with all-zero heads is skipped by ``push_rows``; on
+    models with such layers every query gives the unskipped pass's bytes."""
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("actnorm", [False, True])
+    def test_fresh_model_bytes_match_unskipped(self, monkeypatch, actnorm,
+                                               dim, n):
+        x = np.random.default_rng(n + dim).normal(size=(n, dim)) * 2.0
+        cfg = InitConfig(clip_range=6.0, epsilon=2.0, delta=1e-5, seed=3)
+        model, oracle = (build_maf(dim, n_blocks=3, hidden=8,
+                                   actnorm=actnorm, seed=9)
+                         for _ in range(2))
+        if actnorm:
+            dp_nf_init(x, model, cfg)
+        got = fresh_queries(model, x)
+        undo = with_oracle_push(monkeypatch)
+        if actnorm:
+            dp_nf_init(x, oracle, cfg)
+        want = fresh_queries(oracle, x)
+        undo()
+        assert model.params.tobytes() == oracle.params.tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_only_live_block_runs(self, monkeypatch):
+        """Of four MADE blocks only block 2 has a non-zero head; it alone
+        runs, once per block of rows, in both directions."""
+        n = BLOCK_ROWS + 1
+        model = build_maf(2, n_blocks=4, hidden=8, actnorm=True, seed=1)
+        made = [layer for layer in model.layers
+                if isinstance(layer, MadeLayer)]
+        made[2].ba[1] = 0.3
+        assert [layer.heads_are_zero() for layer in made] == \
+            [True, True, False, True]
+        x = np.random.default_rng(0).normal(size=(n, 2))
+        undo = with_oracle_push(monkeypatch)
+        want = fresh_queries(model, x)
+        undo()
+        calls = []
+        for method in ("forward", "inverse"):
+            real = getattr(MadeLayer, method)
+
+            def spy(self, z, real=real, method=method):
+                calls.append((method, self))
+                return real(self, z)
+            monkeypatch.setattr(MadeLayer, method, spy)
+        got = fresh_queries(model, x)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        # log_prob and transform_to_base forward, sample inverse: two blocks
+        # of rows each.
+        assert calls == [("forward", made[2])] * 4 + [("inverse", made[2])] * 2
+
+    def test_overflow_index_counts_skipped_layers(self):
+        """A layer index names the position in the stack, skipped layers
+        included."""
+        model = build_maf(2, n_blocks=2, hidden=4, seed=0)
+        model.layers[2].b2[:] = 1.0
+        model.layers[2].Wm[:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalOverflowError) as err:
+                model.log_prob(np.array([1.0, 1.0]))
+        assert err.value.layer_index == 2
+
+    def test_trunk_overflow_row_kept(self):
+        """Contract: a zero-head layer maps a row whose trunk overflows to
+        itself; the unskipped pass gave NaN (inf * 0) and, checked,
+        NumericalOverflowError."""
+        layer = MadeLayer(2, 4, rng=0)
+        layer.W1[...] = 1e308
+        layer.W2[...] = 1.0
+        model = FlowModel([layer], SphericalGaussian(2))
+        x = np.array([[1e10, 1e10], [1.0, 2.0]])
+        z, total = push_rows(model.layers, x, check=True)
+        assert z.tobytes() == x.tobytes()
+        assert total.tobytes() == np.zeros(2).tobytes()
+        assert np.isfinite(model.log_prob(x)).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_old, _ = push_rows_oracle(model.layers, x)
+            with pytest.raises(NumericalOverflowError):
+                push_rows_oracle(model.layers, x, check=True)
+        assert np.isnan(z_old[0]).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inverse_negative_zero_kept(self, dim):
+        """Contract: in the inverse direction a zero-head layer keeps a
+        -0.0 input as -0.0; the trunk pass added the +0.0 shift and gave
+        +0.0. Nonzero values are the same bytes either way."""
+        layer = MadeLayer(dim, 4, rng=0)
+        u = np.full((2, dim), -0.0)
+        u[1] = 0.25
+        z, _ = push_rows([layer], u, inverse=True)
+        z_old, _ = push_rows_oracle([layer], u, inverse=True)
+        assert np.signbit(z[0]).all() and not np.signbit(z_old[0]).any()
+        assert z[1].tobytes() == z_old[1].tobytes() == u[1].tobytes()
 
 
 class TestNll:
