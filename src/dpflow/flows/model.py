@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import (ConfigurationError, DpflowError, NonFiniteInputError,
                       NumericalOverflowError, TrainingInstabilityError)
-from .bases import GmmBase, SphericalGaussian, base_from_descriptor
+from .bases import SphericalGaussian, base_from_descriptor
 from .layers import LAYER_TYPES, ActNormLayer, MadeLayer, ReversalLayer
 
 FORMAT_VERSION = 1
@@ -48,12 +48,10 @@ def _reject_constant(text: str):
 
 def _check_finite(model: "FlowModel"):
     """An overlong number literal parses to inf; check every float a model
-    file sets (parameters, squash bounds, mixture arrays) once, as arrays."""
+    file sets (parameters, squash bounds) once, as arrays. ``GmmParams``
+    checks the mixture arrays itself."""
     values = [model.params] + [layer.s_max for layer in model.layers
                                if isinstance(layer, MadeLayer)]
-    if isinstance(model.base, GmmBase):
-        p = model.base.params
-        values += [p.weights, p.means, p.variances]
     if not all(np.all(np.isfinite(v)) for v in values):
         raise ConfigurationError("non-finite value in model file")
 

@@ -31,6 +31,11 @@ class GmmParams:
             raise ConfigurationError("means and variances must share a shape")
         if self.weights.shape[0] != self.means.shape[0]:
             raise ConfigurationError("one weight per component required")
+        if self.means.shape[1] < 1:
+            raise ConfigurationError("components need at least one coordinate")
+        for name in ("weights", "means", "variances"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"non-finite mixture {name}")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ConfigurationError("weights must lie on the simplex")
         if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
@@ -54,22 +59,24 @@ def _log_joint(weights, means, variances, xt, joint, work) -> None:
     """Write log pi_m + log N(x_n; mean_m, diag var_m) for coordinate rows
     ``xt`` (D, n) into ``joint`` (M, n).
 
-    It starts from the per-component constant and gains
-    (x - mean)^2 * (-1/(2 var)) one coordinate at a time, formed in
-    ``work`` (M, n); both arrays belong to the caller. The square stays
-    centred: the expanded x^2/var - 2 x mean/var + mean^2/var cancels at
-    floor variances.
+    Each coordinate's term (x - mean)^2 * (-1/(2 var)) is formed in
+    ``work`` (M, n); the first is written to ``joint`` plus the
+    per-component constant, and the others are added to it. Both arrays
+    belong to the caller; D >= 1. The square stays centred: the expanded
+    x^2/var - 2 x mean/var + mean^2/var cancels at floor variances.
     """
     d = xt.shape[0]
     factor = -0.5 / variances
     const = np.log(weights) - 0.5 * (np.sum(np.log(variances), axis=1)
                                      + d * math.log(2 * math.pi))
-    joint[...] = const[:, None]
     for k in range(d):
         np.subtract(xt[k], means[:, k, None], out=work)
         work *= work
         work *= factor[:, k, None]
-        joint += work
+        if k:
+            joint += work
+        else:
+            np.add(work, const[:, None], out=joint)
 
 
 def _e_step(weights, means, variances, xt, joint, work, resp=True):
@@ -136,12 +143,18 @@ def gmm_sample(gmm: GmmParams, n: int, seed) -> np.ndarray:
 def _kmeanspp_centers(X: np.ndarray, m: int, rng) -> np.ndarray:
     """k-means++ seeding: each next center is a row drawn with probability
     proportional to its squared distance to the nearest center so far. The
-    distances to the newest center fold into a running minimum."""
+    distances to the newest center fold into a running minimum. A distance
+    total that overflows raises ConfigurationError."""
     centers = [X[rng.integers(len(X))]]
     d2 = np.full(len(X), np.inf)
     for _ in range(m - 1):
-        np.minimum(d2, np.sum((X - centers[-1]) ** 2, axis=1), out=d2)
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            np.minimum(d2, np.sum((X - centers[-1]) ** 2, axis=1), out=d2)
+            total = d2.sum()
+        if not np.isfinite(total):
+            raise ConfigurationError(
+                "squared distances between points overflow; rescale the "
+                "data (e.g. --standardize)")
         if total <= 0:
             centers.append(X[rng.integers(len(X))])
             continue
@@ -158,7 +171,18 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
     both steps work on two component-major (M, n) arrays that every
     iteration reuses. The M-step variances are
     sum_n r_mn (x_nd - mean_md)^2 / sum_n r_mn, one coordinate at a time.
-    ``n_components < 1`` or ``n_iters < 0`` raises ConfigurationError.
+
+    Exact early exit: the generator is drawn from only to reseed an empty
+    component, so an iteration without a reseed is a function of its input
+    state alone. The states since the last reseed (or the start) are kept
+    by their bit patterns; once an iteration starts from one seen before,
+    the rest of the run repeats that cycle, so the remaining trace entries
+    are copied by the period and the state the full run would end on is
+    returned. Params and trace are the bytes of all ``n_iters`` iterations.
+
+    ``n_components < 1``, ``n_iters < 0`` or X without columns raises
+    ConfigurationError, as do squared distances that overflow (k-means++)
+    and a fit whose parameters stop being finite.
     """
     X = np.ascontiguousarray(X, dtype=float)
     n, d = X.shape
@@ -169,6 +193,8 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
         raise ConfigurationError(f"iterations must be >= 0, got {n_iters}")
     if n <= n_components:
         raise ConfigurationError("need more points than components")
+    if d < 1:
+        raise ConfigurationError("points need at least one coordinate")
     rng = np.random.default_rng(seed)
 
     means = _kmeanspp_centers(X, n_components, rng)
@@ -180,7 +206,22 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
     resp = np.empty((n_components, n))
     work = np.empty_like(resp)
     ll_trace = []
-    for _ in range(n_iters):
+    # states[t] is the state before iteration t; seen maps the bit pattern
+    # of each state since the last reseed to its t.
+    states, seen = [], {}
+    for it in range(n_iters):
+        key = weights.tobytes() + means.tobytes() + variances.tobytes()
+        if key in seen:
+            start = seen[key]
+            period = it - start
+            for j in range(it, n_iters):
+                ll_trace.append(ll_trace[j - period])
+            weights, means, variances = \
+                states[start + (n_iters - it) % period]
+            break
+        seen[key] = it
+        states.append((weights.copy(), means.copy(), variances.copy()))
+
         log_norm = _e_step(weights, means, variances, xt, resp, work)
         ll_trace.append(float(np.mean(log_norm)))
 
@@ -189,6 +230,7 @@ def gmm_fit_em(X, n_components: int, n_iters: int = 100, seed=0):
         if empty.any():
             keep = ~empty
             r, c = resp[keep], counts[keep]
+            seen.clear()  # the reseed drew from the generator
         else:
             keep, r, c = slice(None), resp, counts
         means[keep] = (r @ xt.T) / c[:, None]

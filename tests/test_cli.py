@@ -164,6 +164,25 @@ def test_train_gmm_base(runner, small_data, tmp_path):
     assert doc["base"]["type"] == "gmm"
 
 
+@pytest.mark.parametrize("huge", ["1e200", "1e160"])
+def test_train_gmm_base_huge_value_is_an_error(tmp_path, capsys, huge):
+    """A huge finite value overflows the mixture's k-means++ distances:
+    exit 1 with one ``error:`` line naming the overflow, no traceback."""
+    X = np.random.default_rng(0).normal(size=(600, 2))
+    X[0] = [float(huge), 0.0]
+    path = tmp_path / "big.csv"
+    dt.save_csv(path, X)
+    model = tmp_path / "m.json"
+    code, err = run_main(["train", "--data", str(path), "--out", str(model),
+                          "--base", "gmm", "--max-steps", "3",
+                          "--batch-size", "64", "--epsilon", "50"], capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "overflow" in lines[0] and "--standardize" in lines[0]
+    assert not model.exists()
+
+
 def test_sample_and_logprob_round_trip(runner, small_data, tmp_path):
     model = tmp_path / "model.json"
     assert runner.invoke(cli, train_args(small_data, model)).exit_code == 0

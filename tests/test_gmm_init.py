@@ -97,6 +97,102 @@ def kmeanspp_centers_oracle(X, m, rng):
     return np.array(centers)
 
 
+# Oracle: the component-major EM as it ran before the exact early exit,
+# every one of its ``n_iters`` iterations, with its log-joint (constant
+# first, then each coordinate's term added) and E-step. The library must
+# give the same bytes.
+
+def log_joint_full_oracle(weights, means, variances, xt, joint, work):
+    d = xt.shape[0]
+    factor = -0.5 / variances
+    const = np.log(weights) - 0.5 * (np.sum(np.log(variances), axis=1)
+                                     + d * math.log(2 * math.pi))
+    joint[...] = const[:, None]
+    for k in range(d):
+        np.subtract(xt[k], means[:, k, None], out=work)
+        work *= work
+        work *= factor[:, k, None]
+        joint += work
+
+
+def e_step_full_oracle(weights, means, variances, xt, joint, work,
+                       resp=True):
+    log_joint_full_oracle(weights, means, variances, xt, joint, work)
+    top = joint.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    joint -= top
+    np.exp(joint, out=joint)
+    total = joint.sum(axis=0)
+    if resp:
+        joint /= total
+    with np.errstate(divide="ignore"):
+        return np.log(total) + top
+
+
+def gmm_fit_em_full_oracle(X, n_components, n_iters=100, seed=0,
+                           centers=kmeanspp_centers_oracle,
+                           e_step=e_step_full_oracle):
+    """Returns (GmmParams, trace, states): ``states`` holds the bit
+    pattern of (weights, means, variances) before each iteration and after
+    the last, n_iters + 1 entries."""
+    X = np.ascontiguousarray(X, dtype=float)
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    means = centers(X, n_components, rng)
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR),
+                        (n_components, 1))
+    weights = np.full(n_components, 1.0 / n_components)
+    xt = np.ascontiguousarray(X.T)
+    resp = np.empty((n_components, n))
+    work = np.empty_like(resp)
+    ll_trace, states = [], []
+    for _ in range(n_iters):
+        states.append(weights.tobytes() + means.tobytes()
+                      + variances.tobytes())
+        log_norm = e_step(weights, means, variances, xt, resp, work)
+        ll_trace.append(float(np.mean(log_norm)))
+        counts = resp.sum(axis=1)
+        empty = counts < 1e-10
+        if empty.any():
+            keep = ~empty
+            r, c = resp[keep], counts[keep]
+        else:
+            keep, r, c = slice(None), resp, counts
+        means[keep] = (r @ xt.T) / c[:, None]
+        rows = work[:len(c)]
+        for k in range(d):
+            np.subtract(xt[k], means[keep, k, None], out=rows)
+            rows *= rows
+            variances[keep, k] = np.maximum(
+                np.vecdot(r, rows) / c, VARIANCE_FLOOR)
+        for m_idx in np.flatnonzero(empty):
+            means[m_idx] = X[rng.integers(n)]
+            variances[m_idx] = VARIANCE_FLOOR
+            counts[m_idx] = 1.0
+        weights = counts / counts.sum()
+    states.append(weights.tobytes() + means.tobytes() + variances.tobytes())
+    return GmmParams(weights, means, variances), ll_trace, states
+
+
+def first_repeat(states):
+    """(start, period) of the first state that recurs, or None: states[t]
+    equals states[start] with t = start + period the smallest such t."""
+    seen = {}
+    for t, key in enumerate(states):
+        if key in seen:
+            return seen[key], t - seen[key]
+        seen[key] = t
+    return None
+
+
+def assert_same_fit_bytes(got, want):
+    (gmm, trace), (oracle, oracle_trace) = got, want[:2]
+    for field in ("weights", "means", "variances"):
+        assert getattr(gmm, field).tobytes() \
+            == getattr(oracle, field).tobytes(), field
+    assert np.array(trace).tobytes() == np.array(oracle_trace).tobytes()
+
+
 def assert_close_to_scale(got, want, rel=1e-12):
     """|got - want| <= rel * max|want|, elementwise: a relative bound on
     the array that does not blow up at entries that cancel to near zero."""
@@ -264,9 +360,15 @@ class TestLongEmRuns:
         assert_close_to_scale(trace, oracle_trace)
 
     def test_pinwheel_size_matches_oracle(self):
+        # This fit reaches a fixed point within its 100 iterations, so the
+        # early exit runs at full size; its bytes are the full run's.
         X = data.standardize(data.gen_pinwheel(27_000, seed=4)).X
-        self.assert_fit_close(gmm_fit_em(X, 5, n_iters=100, seed=7),
+        got = gmm_fit_em(X, 5, n_iters=100, seed=7)
+        self.assert_fit_close(got,
                               gmm_fit_em_oracle(X, 5, n_iters=100, seed=7))
+        full = gmm_fit_em_full_oracle(X, 5, n_iters=100, seed=7)
+        assert first_repeat(full[2])[0] < 100
+        assert_same_fit_bytes(got, full)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_component_on_variance_floor_matches_oracle(self, seed):
@@ -297,6 +399,126 @@ class TestLongEmRuns:
                 assert getattr(got, field).tobytes() \
                     == getattr(want, field).tobytes()
             assert got_trace == want_trace
+
+
+def clustered_points(seed):
+    """Points around up to five random centres; D (1-3), the component
+    count M (1-5) and n (40-199) are drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    n = int(rng.integers(40, 200))
+    centres = rng.normal(0.0, 2.0, (m, d))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.3, 2.0, d) \
+        + centres[rng.integers(m, size=n)]
+    return X, m
+
+
+def far_centers(X, m, rng):
+    """k-means++ seeding with the last center a million units out: that
+    component takes no responsibility and is reseeded in iteration 0."""
+    centers = kmeanspp_centers_oracle(X, m, rng)
+    centers[-1] = 1e6
+    return centers
+
+
+class TestEarlyExitMatchesFullRun:
+    """``gmm_fit_em`` stops once a state recurs. Its params and trace must
+    be the bytes of every iteration run, for run lengths on both sides of
+    the cycle's start and of its first repeat."""
+
+    # (seed of clustered_points, D, M, period of the first repeat, reseed)
+    CASES = [(11, 1, 1, 1, False), (3, 3, 1, 1, False),
+             (60, 1, 2, 1, False), (20, 3, 2, 1, False),
+             (260, 3, 5, 2, False), (96, 3, 4, 3, False),
+             (30, 1, 2, 2, True), (277, 1, 3, 3, True)]
+
+    @pytest.mark.parametrize("seed, d, m, period, reseed", CASES)
+    def test_cycle(self, monkeypatch, seed, d, m, period, reseed):
+        X, got_m = clustered_points(seed)
+        assert (X.shape[1], got_m) == (d, m)
+        centers = kmeanspp_centers_oracle
+        if reseed:
+            centers = far_centers
+            monkeypatch.setattr(gmm_module, "_kmeanspp_centers", far_centers)
+            one, _, _ = gmm_fit_em_full_oracle(X, m, 1, seed, centers)
+            assert one.variances[-1].tolist() == [VARIANCE_FLOOR] * d
+        _, _, states = gmm_fit_em_full_oracle(X, m, 400, seed, centers)
+        start, got_period = first_repeat(states)
+        assert got_period == period
+        repeat = start + period  # the first iteration that starts on a repeat
+        lengths = {0, 1, start - 1, start, start + 1, repeat - 1, repeat,
+                   repeat + 1, repeat + 2, repeat + 3 * period + 1, 400}
+        for n_iters in sorted(k for k in lengths if k >= 0):
+            assert_same_fit_bytes(
+                gmm_fit_em(X, m, n_iters=n_iters, seed=seed),
+                gmm_fit_em_full_oracle(X, m, n_iters, seed, centers))
+
+    def test_state_before_a_reseed_is_no_repeat(self, monkeypatch):
+        # Plain EM came back to a state from before a reseed in no fit
+        # tried, so a scripted E-step makes the cycle A -> B -> A -> B' ...
+        # Each pass through A empties the last component, and its reseed
+        # draws a new point, so B and B' differ: the run does not repeat,
+        # although A recurs. Component k owns four copies of k * 1e-4, so
+        # every mean is exact and every variance (and X.var) on the floor.
+        m, copies = 3, 4
+        X = np.repeat(np.arange(m) * 1e-4, copies)[:, None]
+        labels = np.repeat(np.arange(m), copies)
+
+        def scripted_e_step(weights, means, variances, xt, joint, work,
+                            resp=True):
+            log_norm = e_step_full_oracle(weights, means, variances, xt,
+                                          joint, work, resp=False)
+            owner = labels.copy()
+            if np.all(weights == 1 / m):  # state A
+                owner[owner == m - 1] = 0
+            joint[...] = 0.0
+            joint[owner, np.arange(len(owner))] = 1.0
+            return log_norm
+
+        def centers(X, m, rng):
+            return X[::copies].copy()
+
+        monkeypatch.setattr(gmm_module, "_e_step", scripted_e_step)
+        monkeypatch.setattr(gmm_module, "_kmeanspp_centers", centers)
+        seed = 3
+        _, _, states = gmm_fit_em_full_oracle(X, m, 9, seed, centers,
+                                              scripted_e_step)
+        assert states[0::2] == [states[0]] * 5
+        assert len(set(states[1::2])) > 1
+        for n_iters in range(10):
+            assert_same_fit_bytes(
+                gmm_fit_em(X, m, n_iters=n_iters, seed=seed),
+                gmm_fit_em_full_oracle(X, m, n_iters, seed, centers,
+                                       scripted_e_step))
+
+    @pytest.mark.parametrize("seed", [7, 30])
+    def test_no_repeat(self, seed):
+        X, m = clustered_points(seed)
+        want = gmm_fit_em_full_oracle(X, m, 400, seed)
+        assert first_repeat(want[2]) is None
+        assert_same_fit_bytes(gmm_fit_em(X, m, n_iters=400, seed=seed), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixtures())
+    def test_logpdf_and_grad_match_full_e_step(self, case):
+        gmm, x = case
+        xt = np.ascontiguousarray(x.T)
+        joint = np.empty((gmm.n_components, len(x)))
+        work = np.empty_like(joint)
+        want = e_step_full_oracle(gmm.weights, gmm.means, gmm.variances, xt,
+                                  joint, work, resp=False)
+        assert gmm_logpdf(gmm, x).tobytes() == want.tobytes()
+        log_norm, grad = gmm_logpdf_and_grad(gmm, x)
+        want = e_step_full_oracle(gmm.weights, gmm.means, gmm.variances, xt,
+                                  joint, work)
+        assert log_norm.tobytes() == want.tobytes()
+        want_grad = np.empty_like(x)
+        for k in range(gmm.dim):
+            np.subtract(gmm.means[:, k, None], xt[k], out=work)
+            work /= gmm.variances[:, k, None]
+            work *= joint
+            want_grad[:, k] = work.sum(axis=0)
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestKmeansppSeeding:
@@ -405,6 +627,40 @@ class TestGmmFitEm:
         X = np.vstack([np.zeros((50, 2)), np.ones((50, 2))])
         gmm, _ = gmm_fit_em(X, 2, n_iters=30, seed=3)
         assert np.all(gmm.variances >= VARIANCE_FLOOR * (1 - 1e-12))
+
+    @pytest.mark.parametrize("huge", [1e200, 1e160])
+    def test_overflowing_distances_rejected(self, huge):
+        # One huge finite value: the k-means++ squared distances overflow,
+        # and their total would make the draw's probabilities NaN.
+        X = np.random.default_rng(2).normal(size=(600, 2))
+        X[0] = [huge, 0.0]
+        with pytest.raises(ConfigurationError, match="overflow"):
+            gmm_fit_em(X, 5, n_iters=3, seed=0)
+
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(ConfigurationError, match="coordinate"):
+            gmm_fit_em(np.zeros((20, 0)), 2)
+
+
+class TestGmmParamsValidation:
+    GOOD = dict(weights=[0.5, 0.5], means=np.zeros((2, 2)),
+                variances=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, field, bad):
+        value = np.array(self.GOOD[field], dtype=float)
+        value.flat[0] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            GmmParams(**{**self.GOOD, field: value})
+
+    def test_nan_weight_with_unit_sum_rejected(self):
+        with pytest.raises(ConfigurationError, match="weights"):
+            GmmParams([np.nan, 0.5, 0.5], np.zeros((3, 2)), np.ones((3, 2)))
+
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(ConfigurationError, match="coordinate"):
+            GmmParams([1.0], np.zeros((1, 0)), np.zeros((1, 0)))
 
 
 class TestGmmBaseFlow:
