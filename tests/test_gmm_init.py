@@ -654,10 +654,6 @@ class TestGmmParamsValidation:
         with pytest.raises(ConfigurationError, match=field):
             GmmParams(**{**self.GOOD, field: value})
 
-    def test_nan_weight_with_unit_sum_rejected(self):
-        with pytest.raises(ConfigurationError, match="weights"):
-            GmmParams([np.nan, 0.5, 0.5], np.zeros((3, 2)), np.ones((3, 2)))
-
     def test_zero_dimensions_rejected(self):
         with pytest.raises(ConfigurationError, match="coordinate"):
             GmmParams([1.0], np.zeros((1, 0)), np.zeros((1, 0)))
