@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalOverflowError
 
 DEFAULT_ORDERS = tuple(range(2, 257))
+_ORDERS = np.array(DEFAULT_ORDERS, dtype=float)
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -97,8 +98,14 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
-    """Per-step RDP at each integer order alpha >= 2 of a Gaussian mechanism
+def _check_sampling_ratio(q: float):
+    """Refuse a sampling ratio outside (0, 1]; NaN fails the check."""
+    if not 0.0 < q <= 1.0:
+        raise ConfigurationError(f"sampling ratio must be in (0, 1], got {q}")
+
+
+def rdp_curve(q: float, sigma: float) -> np.ndarray:
+    """Per-step RDP at each order of ``DEFAULT_ORDERS`` of a Gaussian mechanism
     applied to a uniform without-replacement subsample with sampling ratio
     ``q``; composition over t steps is t times this curve, pointwise.
 
@@ -110,15 +117,7 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     sigma^2) overflows, that term and its order's value are +inf, with no
     warning; a 1/sigma^2 that overflows makes every order +inf.
     """
-    alphas = np.asarray(orders, dtype=float).ravel()
-    if alphas.size == 0:
-        raise ConfigurationError("empty order grid")
-    bad = alphas[~((alphas >= 2) & (alphas == np.floor(alphas)))]
-    if bad.size:
-        raise ConfigurationError(
-            f"order must be an integer >= 2, got {bad[0]:g}")
-    if not 0.0 < q <= 1.0:
-        raise ConfigurationError(f"sampling ratio must be in (0, 1], got {q}")
+    _check_sampling_ratio(q)
     if not sigma > 0.0:
         raise ConfigurationError(f"noise multiplier must be positive, got {sigma}")
 
@@ -126,11 +125,11 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     # term of every order.
     inv = 1.0 / (sigma * sigma) if sigma * sigma > 0.0 else math.inf
     if inv == math.inf:
-        return np.full(alphas.shape, np.inf)
+        return np.full(_ORDERS.shape, np.inf)
     log_q = math.log(q)
-    j = np.arange(int(alphas.max()) + 1, dtype=float)[None, :]
+    j = np.arange(DEFAULT_ORDERS[-1] + 1, dtype=float)[None, :]
     # log C(alpha, j) is -inf for j > alpha, and so is every such term.
-    log_binom = _log_binomials(alphas)
+    log_binom = _log_binomials(_ORDERS)
     with np.errstate(over="ignore"):
         exponent = (j - 1) * j / 2.0 * inv
     # An exponent that overflowed to inf must not meet those -inf (NaN).
@@ -145,22 +144,21 @@ def rdp_curve(q: float, sigma: float, orders=DEFAULT_ORDERS) -> np.ndarray:
     terms[:, 2] = 2.0 * log_q + log_binom[:, 2] + log_b2
     terms[:, 0] = 0.0
     terms[:, 1] = -np.inf
-    return _logsumexp_rows(terms) / (alphas - 1.0)
+    return _logsumexp_rows(terms) / (_ORDERS - 1.0)
 
 
-def rdp_to_dp(orders, curve, delta: float) -> float:
-    """Convert a cumulative RDP curve to an (eps, delta) guarantee."""
-    orders = np.asarray(orders, dtype=float)
+def rdp_to_dp(curve, delta: float) -> float:
+    """Convert a cumulative RDP curve over ``DEFAULT_ORDERS`` to an
+    (eps, delta) guarantee."""
     curve = np.asarray(curve, dtype=float)
-    if orders.size == 0:
-        raise ConfigurationError("empty order grid")
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
-    return float(np.min(curve + math.log(1.0 / delta) / (orders - 1.0)))
+    return float(np.min(curve + math.log(1.0 / delta) / (_ORDERS - 1.0)))
 
 
 def gdp_mu(t: int, q: float, sigma: float) -> float:
     """CLT-approximate mu after t subsampled Gaussian steps."""
+    _check_sampling_ratio(q)
     if not sigma > 0.0:
         raise ConfigurationError(
             f"noise multiplier must be positive, got {sigma}")
@@ -239,6 +237,7 @@ class Accountant:
     def __post_init__(self):
         if self.method not in ("rdp", "gdp"):
             raise ConfigurationError(f"unknown accountant method {self.method!r}")
+        _check_sampling_ratio(self.q)
         if self.method == "rdp":
             self._step_curve = rdp_curve(self.q, self.sigma)
 
@@ -246,7 +245,7 @@ class Accountant:
         if t == 0:
             return 0.0
         if self.method == "rdp":
-            return rdp_to_dp(DEFAULT_ORDERS, t * self._step_curve, self.delta)
+            return rdp_to_dp(t * self._step_curve, self.delta)
         eps, _ = gdp_eps_for_delta(gdp_mu(t, self.q, self.sigma), self.delta)
         return eps
 

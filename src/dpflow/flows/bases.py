@@ -22,11 +22,8 @@ class SphericalGaussian:
         return -0.5 * (self.dim * math.log(2 * math.pi)
                        + np.sum(u * u, axis=-1))
 
-    def grad_log_prob(self, u):
-        return -u
-
     def log_prob_and_grad(self, u):
-        return self.log_prob(u), self.grad_log_prob(u)
+        return self.log_prob(u), -u
 
     def sample(self, n, rng):
         return np.random.default_rng(rng).standard_normal((n, self.dim))

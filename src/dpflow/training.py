@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import Accountant, steps_for_budget
-from .errors import (ConfigurationError, NumericalOverflowError,
-                     TrainingInstabilityError)
+from .errors import ConfigurationError, TrainingInstabilityError
 from .flows import FlowModel
 
 # Adam moment decay rates and denominator offset.
@@ -68,6 +67,9 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}")
+        if not self.max_steps >= 0:
+            raise ConfigurationError(
+                f"max_steps must be nonnegative, got {self.max_steps}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if self.sampling not in ("uniform", "poisson"):
@@ -217,16 +219,13 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
 
     for t in range(1, horizon + 1):
         idx = _draw_batch(sample_rng, n, config)
-        skip = False
-        if idx.size == 0:  # possible under poisson sampling: noise-only step
-            clipped_sum = np.zeros(model.n_params)
-        else:
-            try:
-                losses, clipped_sum, _ = model.clipped_grad_sum(
-                    X[idx], config.clip_norm)
-                skip = not np.all(np.isfinite(losses))
-            except (TrainingInstabilityError, NumericalOverflowError):
-                skip = True
+        # An empty Poisson batch gives a zero sum: a noise-only step.
+        try:
+            losses, clipped_sum, _ = model.clipped_grad_sum(
+                X[idx], config.clip_norm)
+            skip = not np.all(np.isfinite(losses))
+        except TrainingInstabilityError:
+            skip = True
         if skip:
             # The batch was drawn, so its privacy cost is charged even
             # though the update is dropped.

@@ -540,16 +540,19 @@ def test_bad_mixture_size_exit_code(small_data, tmp_path, capsys, extra):
     ("--holdout-frac", "1.5", "--holdout-frac"),
     ("--sigma", "0.03", "epsilon exceeds"),
     ("--blocks", "0", "n_blocks"),
+    # Once ran zero steps, reported spent_epsilon 0.0 and exited 0.
+    ("--max-steps", "-7", "max_steps"),
 ])
 def test_bad_train_setting_exit_code(small_data, tmp_path, capsys, flag,
                                      value, message):
-    """A setting no run can use exits 1 with an ``error:`` line naming it,
-    and writes no model."""
+    """A setting no run can use exits 1 with one ``error:`` line naming
+    it, and writes no model."""
     model = tmp_path / "model.json"
     code, err = run_main(train_args(small_data, model) + [flag, value],
                          capsys)
     assert code == 1
     assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
     assert not model.exists()
 
 

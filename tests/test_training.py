@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpflow import training
 from dpflow.accounting import Accountant, steps_for_budget
 from dpflow.data import gen_half_moons, standardize
 from dpflow.errors import ConfigurationError
-from dpflow.flows import FlowModel, build_maf
+from dpflow.flows import FlowModel, GmmBase, build_maf
+from dpflow.gmm import gmm_fit_em
+from dpflow.initialization import InitConfig, dp_nf_init
 from dpflow.training import (MAX_BAD_BATCHES, OptimizerState, TrainConfig,
                              _draw_batch, apply_update, noisy_mean,
                              train_dp_nf, train_flow)
@@ -267,6 +270,89 @@ def test_config_rejects_bad_number(name, value):
     with pytest.raises(ConfigurationError, match=name):
         train_dp_nf(tiny_dataset(), model, config)
     assert model.params.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("value", [-7, -1, np.nan])
+def test_config_rejects_bad_max_steps(value):
+    """A negative step cap once ran zero steps, reported epsilon 0 and
+    returned the untrained model; it is refused by name. 0 stays allowed."""
+    config = TrainConfig(max_steps=value)
+    with pytest.raises(ConfigurationError, match="max_steps"):
+        config.validate()
+    model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+    with pytest.raises(ConfigurationError, match="max_steps"):
+        train_dp_nf(tiny_dataset(), model, config)
+    TrainConfig(max_steps=0).validate()
+
+
+def spherical_model(X):
+    return build_maf(2, n_blocks=2, hidden=8, seed=4)
+
+
+def actnorm_mixture_model(X):
+    """Actnorm blocks set by the private init and an EM-fit mixture base,
+    as in the benchmark's Poisson configuration."""
+    model = build_maf(2, n_blocks=2, hidden=8, actnorm=True, seed=4)
+    dp_nf_init(X, model, InitConfig(clip_range=8.0, epsilon=5.0,
+                                    delta=1e-5, seed=4))
+    params, _ = gmm_fit_em(model.transform_to_base(X), 3, n_iters=30, seed=4)
+    model.base = GmmBase(params)
+    return model
+
+
+class TestEmptyPoissonBatch:
+    """An empty Poisson batch goes through ``clipped_grad_sum`` like any
+    other and takes a noise-only step."""
+
+    @pytest.mark.parametrize("make_model",
+                             [spherical_model, actnorm_mixture_model])
+    def test_same_bytes_as_zero_gradient_oracle(self, make_model,
+                                                monkeypatch):
+        X = tiny_dataset(300, seed=6)
+        cfg = TrainConfig(batch_size=1, sampling="poisson", max_steps=400,
+                          epsilon=10.0, clip_norm=1.0, learning_rate=1e-3,
+                          seed=9, eval_every=150)
+
+        def run():
+            model, report = train_dp_nf(
+                X, make_model(X), cfg,
+                accountant=StubAccountant(lambda t: 1e-3 * t))
+            assert report.steps == 400 and report.skipped_batches == 0
+            return model.params.tobytes(), report.to_jsonl()
+
+        sizes = []
+        draw = training._draw_batch
+
+        def counted(rng, n, config):
+            idx = draw(rng, n, config)
+            sizes.append(idx.size)
+            return idx
+        monkeypatch.setattr(training, "_draw_batch", counted)
+        got = run()
+        assert sizes.count(0) >= 1 and len(sizes) == 400
+
+        # The oracle: an empty batch skips the gradient pass and sums to
+        # np.zeros(P), the noise-only step the trainer once took apart.
+        real = FlowModel.clipped_grad_sum
+
+        def zero_for_empty(model, x, clip_norm):
+            if len(x) == 0:
+                return np.empty(0), np.zeros(model.n_params), np.empty(0)
+            return real(model, x, clip_norm)
+        monkeypatch.setattr(FlowModel, "clipped_grad_sum", zero_for_empty)
+        assert run() == got
+
+    @pytest.mark.parametrize("make_model",
+                             [spherical_model, actnorm_mixture_model])
+    def test_empty_batch_sums_to_new_zeros(self, make_model):
+        X = tiny_dataset(300, seed=6)
+        model = make_model(X)
+        first = model.clipped_grad_sum(np.empty((0, 2)), 1.0)
+        losses, grad, norms = model.clipped_grad_sum(np.empty((0, 2)), 1.0)
+        assert losses.shape == (0,) and norms.shape == (0,)
+        assert grad.tobytes() == np.zeros(model.n_params).tobytes()
+        assert not np.shares_memory(grad, first[1])
+        assert not np.shares_memory(grad, model.params)
 
 
 class TestTrainDpNf:
