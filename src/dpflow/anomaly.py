@@ -8,10 +8,18 @@ scores pooled over labelled queries and counts, per query row, the members
 that vote "in". The caller releases each label from those counts with the
 binary exponential mechanism (``accounting.exp_mech_binary``, vectorised
 over the counts).
+
+The k members train independently, so ``build_ensemble`` splits them into
+contiguous groups and trains each group in its own forked process, one per
+usable CPU; each member ends with the bytes it would have in one process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +155,17 @@ def build_ensemble(X, k: int, *, n_blocks: int = 5, hidden: int = 64,
                    train_steps: int = 1000, seed=0) -> EnsembleDetector:
     """Train one non-private flow per data partition.
 
-    The k members, each built and seeded from its own child of ``seed``,
-    train as one stacked model (``FlowModel.stack``) in a single
-    ``train_flow`` loop at its default rate, at batch size min(128,
-    smallest part), and are returned as k plain models under threshold 0
-    (``fit_threshold`` sets it). A negative step count raises
-    ConfigurationError (from ``train_flow``).
+    The k members are each built and seeded from their own child of
+    ``seed``. They train with ``train_flow`` at its default rate and at one
+    batch size, min(128, smallest part), in W = ``_ensemble_workers(k)``
+    contiguous groups: group 0 in this process and every other group in a
+    forked child, each group as one stacked model (``FlowModel.stack``).
+    Members train independently, so each ends with the bytes of its own
+    run for every W. They are returned in order as k plain models under
+    threshold 0 (``fit_threshold`` sets it). A negative step count raises
+    ConfigurationError (from ``train_flow``); an error in a child is raised
+    here with its type and message, and a child that ends without a result
+    raises ChildProcessError.
     """
     X = np.asarray(X, dtype=float)
     parts = partition_indices(X.shape[0], k, seed=seed)
@@ -161,8 +174,118 @@ def build_ensemble(X, k: int, *, n_blocks: int = 5, hidden: int = 64,
         raise ConfigurationError("insufficient data per partition")
     seeds = [child.generate_state(1)[0]
              for child in np.random.SeedSequence(seed).spawn(k)]
-    stacked = FlowModel.stack(
-        build_maf(X.shape[1], n_blocks=n_blocks, hidden=hidden, seed=s)
-        for s in seeds)
-    train_flow([X[part] for part in parts], stacked, train_steps, seed=seeds)
-    return EnsembleDetector([stacked.member(j) for j in range(k)], 0.0)
+    groups = np.array_split(np.arange(k), _ensemble_workers(k))
+    stacks = [FlowModel.stack(build_maf(X.shape[1], n_blocks=n_blocks,
+                                        hidden=hidden, seed=seeds[j])
+                              for j in group) for group in groups]
+
+    def train(i):
+        train_flow([X[parts[j]] for j in groups[i]], stacks[i], train_steps,
+                   batch_size=min(128, min_size),
+                   seed=[seeds[j] for j in groups[i]])
+        return stacks[i].params
+
+    _train_in_workers(train, stacks)
+    return EnsembleDetector([stack.member(j) for stack in stacks
+                             for j in range(stack.members)], 0.0)
+
+
+def _ensemble_workers(k: int) -> int:
+    """Processes that train an ensemble of k: one per usable CPU, at most
+    k. One (no fork) where ``os.fork`` is missing or another thread is
+    alive: a forked child runs only the calling thread, so a lock another
+    thread holds would stay locked in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(k, cpus))
+
+
+def _train_in_workers(train, stacks):
+    """Run ``train(i)`` for every stack: i = 0 here, each other i in a
+    forked child that sends back the trained params, which are copied into
+    ``stacks[i].params``. Every child is reaped before this returns or
+    raises, and killed first if this process fails."""
+    children = []
+    finished = False
+    try:
+        for i in range(1, len(stacks)):
+            children.append(_fork_worker(lambda i=i: train(i),
+                                         [fd for _, fd in children]))
+        train(0)
+        replies = [_read_to_eof(fd) for _, fd in children]
+        finished = True
+    finally:
+        for pid, fd in children:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for stack, (pid, _), reply, status in zip(stacks[1:], children, replies,
+                                              statuses):
+        if reply[:1] == b"\1":
+            raise pickle.loads(reply[1:])
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or reply[:1] != b"\0" \
+                or len(reply) != 1 + stack.params.nbytes:
+            end = f"killed by signal {-code}" if code < 0 \
+                else f"exit code {code}"
+            raise ChildProcessError(
+                f"ensemble worker {pid} ended without a result "
+                f"({end}, {len(reply)} bytes sent)")
+        stack.params[...] = np.frombuffer(reply, stack.params.dtype,
+                                          offset=1)
+
+
+def _fork_worker(run, inherited):
+    """Fork a child that calls ``run()`` and writes to a pipe a 0 byte and
+    the bytes of the array it returns, or a 1 byte and its pickled
+    exception, then leaves through ``os._exit``. Returns (pid, read end of
+    the pipe).
+
+    The child closes the ``inherited`` read ends of earlier children and
+    its own, so once this process is gone its write fails and it exits."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        for fd in [read_fd, *inherited]:
+            os.close(fd)
+        try:
+            reply = b"\0" + run().tobytes()
+        except BaseException as exc:
+            reply = b"\1" + _pickle_error(exc)
+        with open(write_fd, "wb") as fh:
+            fh.write(reply)
+        code = reply[0]
+    finally:
+        os._exit(code)
+
+
+def _read_to_eof(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _pickle_error(exc) -> bytes:
+    """``exc`` pickled; an error that does not survive the round trip is
+    sent as a ChildProcessError naming its type and message."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(ChildProcessError(f"{type(exc).__name__}: {exc}"))

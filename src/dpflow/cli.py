@@ -455,7 +455,8 @@ def dp_ad(**cfg):
     # Simple composition over the queries: one total per row of the CSV.
     _write_manifest("dp-ad", cfg, {
         "threshold": detector.threshold,
-        "cumulative_epsilon": [len(labels) * eps for eps in grid]})
+        "cumulative_epsilon": [len(labels) * eps for eps in grid],
+        "ensemble_workers": ad._ensemble_workers(cfg["k"])})
     _echo_json({"k": cfg["k"], "queries": int(len(labels)),
                 "threshold": detector.threshold, "out": cfg["out"]})
 

@@ -64,7 +64,7 @@ class TrainConfig:
             raise ConfigurationError(
                 f"delta must be in (0, 1), got {self.delta}")
         for name in ("batch_size", "eval_every"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}")
         if not self.max_steps >= 0:

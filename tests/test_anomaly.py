@@ -1,15 +1,20 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpflow import anomaly
 from dpflow.accounting import exp_mech_binary
 from dpflow.anomaly import (EnsembleDetector, build_ensemble,
                             gen_tail_anomalies, partition_indices, roc,
                             select_threshold)
-from dpflow.errors import ConfigurationError
+from dpflow.errors import ConfigurationError, TrainingInstabilityError
 from dpflow.flows import build_maf
 from dpflow.training import train_flow
 
@@ -455,3 +460,209 @@ class TestBuildEnsemble:
     def test_insufficient_data(self):
         with pytest.raises(ConfigurationError):
             build_ensemble(np.zeros((5, 2)), 5, train_steps=1)
+
+
+# TestBuildEnsemble's cases as (data seed, rows, k, build_ensemble settings,
+# oracle batch size), among them k = 5 (groups of 3 and 2 in two
+# processes) and parts of 38 and 37 rows (a shared batch of 37).
+ENSEMBLE_CASES = [
+    (515, (515, 3), 4, dict(n_blocks=2, hidden=6, train_steps=15, seed=519),
+     128),
+    (641, (641, 3), 5, dict(n_blocks=2, hidden=6, train_steps=15, seed=646),
+     128),
+    (400, (400, 3), 4, dict(n_blocks=2, hidden=6, train_steps=15, seed=404),
+     128),
+    (31, (150, 2), 4, dict(n_blocks=1, hidden=5, train_steps=12, seed=4), 37),
+]
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(anomaly, "_ensemble_workers", lambda k: workers)
+
+
+class PickleFails(ValueError):
+    """An error that pickle cannot write: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class RebuildFails(ValueError):
+    """An error that pickle writes but cannot rebuild: its constructor
+    takes an argument that ``args`` does not keep."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def fail_in(where, error):
+    """A ``train_flow`` that raises ``error`` in the parent or in a forked
+    child (``where``) and trains as usual in the other."""
+    parent = os.getpid()
+
+    def train(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise error
+        return train_flow(*args, **kwargs)
+
+    return train
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedEnsemble:
+    """``build_ensemble`` trains its members in W processes with the bytes
+    of one process, and leaves no process behind."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, "k+2"])
+    @pytest.mark.parametrize("data_seed, shape, k, kwargs, batch",
+                             ENSEMBLE_CASES)
+    def test_members_bitwise_equal_for_every_worker_count(
+            self, monkeypatch, forks, data_seed, shape, k, kwargs, batch,
+            workers):
+        if workers == "k+2":
+            # More usable CPUs than members: the helper caps W at k.
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(k + 2)), raising=False)
+            assert anomaly._ensemble_workers(k) == k
+            workers = k
+        else:
+            use_workers(monkeypatch, workers)
+        X = np.random.default_rng(data_seed).normal(size=shape)
+        det = build_ensemble(X, k, **kwargs)
+        want = ensemble_oracle(X, k, batch_size=batch, **kwargs)
+        assert len(forks) == workers - 1
+        assert det.k == k and det.threshold == 0.0
+        for got, expected in zip(det.models, want):
+            assert got.members is None
+            assert got.params.tobytes() == expected.params.tobytes()
+
+    def test_child_error_reraised_with_type_and_message(self, monkeypatch,
+                                                        forks):
+        use_workers(monkeypatch, 3)
+        monkeypatch.setattr(anomaly, "train_flow", fail_in(
+            "child", TrainingInstabilityError("member gradient is nan")))
+        X = np.random.default_rng(5).normal(size=(120, 2))
+        with pytest.raises(TrainingInstabilityError) as info:
+            build_ensemble(X, 3, n_blocks=1, hidden=4, train_steps=3)
+        assert type(info.value) is TrainingInstabilityError
+        assert str(info.value) == "member gradient is nan"
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("error, text", [
+        (PickleFails("bad member"), "PickleFails: bad member"),
+        (RebuildFails("bad member", 7), "RebuildFails: bad member"),
+    ], ids=["pickle", "rebuild"])
+    def test_unsendable_child_error_keeps_type_name_and_message(
+            self, monkeypatch, error, text):
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(anomaly, "train_flow", fail_in("child", error))
+        X = np.random.default_rng(6).normal(size=(80, 2))
+        with pytest.raises(ChildProcessError, match=f"^{text}$"):
+            build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
+
+    def test_parent_error_kills_and_reaps_child(self, monkeypatch, forks):
+        """The parent's own group fails at once while the child would train
+        for a minute: the child is killed, not waited for."""
+        parent = os.getpid()
+
+        def train(*args, **kwargs):
+            if os.getpid() == parent:
+                raise ConfigurationError("parent group failed")
+            time.sleep(60)
+            return train_flow(*args, **kwargs)
+
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(anomaly, "train_flow", train)
+        X = np.random.default_rng(7).normal(size=(80, 2))
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match="parent group failed"):
+            build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forks[0], 0)
+
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit", "killed"])
+    def test_child_death_without_result(self, monkeypatch, death, status):
+        parent = os.getpid()
+
+        def train(*args, **kwargs):
+            if os.getpid() != parent:
+                death()
+            return train_flow(*args, **kwargs)
+
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(anomaly, "train_flow", train)
+        X = np.random.default_rng(8).normal(size=(80, 2))
+        with pytest.raises(ChildProcessError, match=status):
+            build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert anomaly._ensemble_workers(4) == 1
+            X = np.random.default_rng(9).normal(size=(160, 2))
+            kwargs = dict(n_blocks=1, hidden=4, train_steps=5, seed=2)
+            det = build_ensemble(X, 4, **kwargs)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        for got, expected in zip(det.models, ensemble_oracle(X, 4, **kwargs)):
+            assert got.params.tobytes() == expected.params.tobytes()
+
+
+class TestEnsembleWorkers:
+    @pytest.mark.parametrize("k, cpus, want", [
+        (10, 2, 2), (1, 2, 1), (3, 8, 3), (10, 1, 1)])
+    def test_one_per_usable_cpu_at_most_k(self, monkeypatch, k, cpus, want):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert anomaly._ensemble_workers(k) == want
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert anomaly._ensemble_workers(10) == 3
+
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert anomaly._ensemble_workers(10) == 1

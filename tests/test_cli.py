@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from dpflow import data as dt
 from dpflow.accounting import Accountant, gdp_mu
 from dpflow.cli import cli, main
 from dpflow.flows import FlowModel, build_maf
+from dpflow.training import train_flow
 from test_data import CSV_FILES, csv_float_oracle, csv_writer_oracle
 
 
@@ -341,6 +343,64 @@ def test_dp_ad_manifest_cost_per_row(runner, small_data, tmp_path):
     cost = json.loads(manifest.read_text())["cumulative_epsilon"]
     assert cost == [queries * eps for eps in eps_column]
 
+
+
+def test_dp_ad_same_bytes_for_every_worker_count(runner, small_data, tmp_path,
+                                                 monkeypatch):
+    """Members trained in one process or in two give the same sweep CSV and
+    the same manifest apart from the top-level ``ensemble_workers``, which
+    ``--config <manifest>`` does not replay."""
+    args = ["dp-ad", "--data", str(small_data), "--k", "2",
+            "--eps", "0.1,100", "--train-steps", "6", "--hidden", "4",
+            "--blocks", "1", "--seed", "3"]
+    csvs, docs = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(ad, "_ensemble_workers", lambda k: workers)
+        out = tmp_path / f"w{workers}.csv"
+        manifest = tmp_path / f"w{workers}.json"
+        result = runner.invoke(cli, args + ["--out", str(out),
+                                            "--manifest", str(manifest)])
+        assert result.exit_code == 0, result.output
+        csvs[workers] = out.read_bytes()
+        docs[workers] = json.loads(manifest.read_text())
+        assert docs[workers].pop("ensemble_workers") == workers
+        assert "ensemble_workers" not in docs[workers]["config"]
+        assert docs[workers]["config"].pop("out") == str(out)
+    assert csvs[1] == csvs[2]
+    assert docs[1] == docs[2]
+
+    again = tmp_path / "again.csv"
+    rerun = runner.invoke(cli, ["dp-ad", "--config", str(tmp_path / "w2.json"),
+                                "--out", str(again),
+                                "--manifest", str(tmp_path / "m3.json")])
+    assert rerun.exit_code == 0, rerun.output
+    assert again.read_bytes() == csvs[2]
+
+
+def test_dp_ad_worker_death_is_one_error_line(small_data, tmp_path, capsys,
+                                              monkeypatch):
+    """A training process that dies without its result ends dp-ad with one
+    ``error:`` line and exit 1; no process is left behind."""
+    parent = os.getpid()
+
+    def train(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return train_flow(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_ensemble_workers", lambda k: 2)
+    monkeypatch.setattr(ad, "train_flow", train)
+    out = tmp_path / "sweep.csv"
+    code, err = run_main([
+        "dp-ad", "--data", str(small_data), "--k", "2",
+        "--train-steps", "2", "--hidden", "4", "--blocks", "1",
+        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: ensemble worker") and "exit code 3" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 @pytest.mark.parametrize("command", ["hist", "project-pca", "anomaly-roc",
                                      "downstream-knn"])

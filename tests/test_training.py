@@ -257,6 +257,7 @@ def tiny_dataset(n=400, seed=0):
     ("noise_multiplier", -0.5),
     ("delta", np.nan), ("delta", 1.0),
     ("batch_size", 0), ("eval_every", 0),
+    ("batch_size", np.nan), ("eval_every", np.nan),
 ])
 def test_config_rejects_bad_number(name, value):
     """A NaN, infinite or out-of-range setting is refused by name before
