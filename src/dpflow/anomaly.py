@@ -226,9 +226,9 @@ def _train_in_workers(train, stacks):
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for stack, (pid, _), reply, status in zip(stacks[1:], children, replies,
                                               statuses):
-        if reply[:1] == b"\1":
-            raise pickle.loads(reply[1:])
         code = os.waitstatus_to_exitcode(status)
+        if reply[:1] == b"\1" and code == 1:
+            raise pickle.loads(reply[1:])
         if code != 0 or reply[:1] != b"\0" \
                 or len(reply) != 1 + stack.params.nbytes:
             end = f"killed by signal {-code}" if code < 0 \

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import threading
 import time
@@ -623,6 +624,22 @@ class TestForkedEnsemble:
         monkeypatch.setattr(anomaly, "train_flow", train)
         X = np.random.default_rng(8).normal(size=(80, 2))
         with pytest.raises(ChildProcessError, match=status):
+            build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
+
+    def test_child_killed_while_sending_its_error(self, monkeypatch):
+        """A cut-off error reply from a killed child is not unpickled: the
+        child ended without a result."""
+        def killed(code):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(anomaly, "train_flow",
+                            fail_in("child", ValueError("bad member")))
+        monkeypatch.setattr(anomaly, "_pickle_error",
+                            lambda exc: pickle.dumps(exc)[:5])
+        monkeypatch.setattr(os, "_exit", killed)
+        X = np.random.default_rng(10).normal(size=(80, 2))
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
             build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
