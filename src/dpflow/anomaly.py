@@ -30,6 +30,8 @@ from .training import train_flow
 
 # Lower and upper tail bands of gen_tail_anomalies, as percentile pairs.
 TAIL_PERCENTILES = (5.0, 30.0, 70.0, 95.0)
+# Fewest reference rows gen_tail_anomalies takes its percentiles from.
+MIN_REFERENCE_ROWS = 20
 
 
 def select_threshold(scores, labels):
@@ -100,8 +102,9 @@ def gen_tail_anomalies(reference, count: int, seed=0) -> np.ndarray:
     the band is chosen by a fair coin per coordinate."""
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     n, d = reference.shape
-    if n < 20:
-        raise ConfigurationError("need at least 20 reference rows")
+    if n < MIN_REFERENCE_ROWS:
+        raise ConfigurationError(
+            f"need at least {MIN_REFERENCE_ROWS} reference rows")
     rng = np.random.default_rng(seed)
     qs = np.percentile(reference, TAIL_PERCENTILES, axis=0)  # (4, D)
     if np.any(reference.max(axis=0) == reference.min(axis=0)):

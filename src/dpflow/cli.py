@@ -3,7 +3,7 @@
 Every subcommand takes its configuration from flags over an optional JSON
 config file (click's ``default_map``), writes a manifest capturing the
 resolved values plus any spent privacy budget, and emits metrics as JSON on
-stdout with tables as CSV files.
+stdout with tables as CSV files; both JSON documents are strict JSON.
 """
 
 from __future__ import annotations
@@ -87,6 +87,13 @@ def _load_config(ctx, _param, path):
                        for name, value in file_cfg.items()}
 
 
+def _dumps(doc, **kwargs) -> str:
+    """``doc`` as strict JSON: a non-finite number becomes the string
+    "inf", "-inf" or "nan", which click's float type reads back."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda c: str(float(c)))
+    return json.dumps(doc, allow_nan=False, **kwargs)
+
+
 def _write_manifest(command: str, cfg: dict, extra: dict | None = None):
     path = cfg.get("manifest")
     if not path:
@@ -97,7 +104,7 @@ def _write_manifest(command: str, cfg: dict, extra: dict | None = None):
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(_dumps(doc, indent=2))
 
 
 def _write_rows(path, header, rows):
@@ -106,7 +113,7 @@ def _write_rows(path, header, rows):
 
 
 def _echo_json(obj):
-    click.echo(json.dumps(obj))
+    click.echo(_dumps(obj))
 
 
 def _data_options(help_text=None):
@@ -340,6 +347,9 @@ def eval_ll(**cfg):
 @_common_options
 def accountant_cmd(**cfg):
     """Tabulate spent epsilon under both accountants over a step range."""
+    if cfg["t_min"] > cfg["t_max"]:
+        raise ConfigurationError(
+            f"--t-min {cfg['t_min']} exceeds --t-max {cfg['t_max']}")
     rdp = Accountant("rdp", cfg["q"], cfg["sigma"], cfg["delta"])
     gdp = Accountant("gdp", cfg["q"], cfg["sigma"], cfg["delta"])
     grid = np.unique(np.geomspace(cfg["t_min"], cfg["t_max"],
@@ -374,9 +384,12 @@ def init_cmd(**cfg):
                         delta=cfg["delta"], seed=cfg["seed"])
     dp_nf_init(ds.X, model, config)
     model.save(cfg["out"])
-    _write_manifest("init", cfg, {
+    spent = {
         "spent_epsilon": cfg["epsilon"], "spent_delta": cfg["delta"],
-        "sensitivity_note": "mean c/n, std c/sqrt(n) for clipped features"})
+        "sensitivity_note": "mean c/n, std c/sqrt(n) for clipped features"}
+    # At epsilon = inf the statistics are released exactly.
+    _write_manifest("init", cfg, {"private": False}
+                    if math.isinf(cfg["epsilon"]) else spent)
     _echo_json({"out": cfg["out"], "epsilon": cfg["epsilon"],
                 "delta": cfg["delta"]})
 
@@ -433,6 +446,10 @@ def dp_ad(**cfg):
     ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
     rng = np.random.default_rng(cfg["seed"])
     n_test = int(round(cfg["test_frac"] * ds.n))
+    if n_test < ad.MIN_REFERENCE_ROWS:
+        raise ConfigurationError(
+            f"--test-frac {cfg['test_frac']} gives {n_test} test rows of "
+            f"{ds.n}; need at least {ad.MIN_REFERENCE_ROWS}")
     perm = rng.permutation(ds.n)
     test_X, train_X = ds.X[perm[:n_test]], ds.X[perm[n_test:]]
     anomalies = ad.gen_tail_anomalies(test_X, n_test, seed=cfg["seed"])

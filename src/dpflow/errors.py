@@ -15,14 +15,10 @@ class ConfigurationError(DpflowError, ValueError):
 
 
 class NumericalOverflowError(DpflowError, ArithmeticError):
-    """A transform produced a non-finite intermediate value, or a quantity
-    left the range its search covers."""
-
-    def __init__(self, message, layer_index=None):
-        super().__init__(message)
-        self.layer_index = layer_index
+    """A finite input gave a non-finite result, or a quantity left the
+    range its search covers."""
 
 
 class TrainingInstabilityError(DpflowError, ArithmeticError):
-    """Gradient computation produced non-finite entries, or training met
+    """A batch's loss, gradient or norm was not finite, or training met
     more consecutive non-finite batches than it tolerates."""

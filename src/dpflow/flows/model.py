@@ -197,15 +197,17 @@ class FlowModel:
             raise NonFiniteInputError("input contains non-finite values")
         return pts, single
 
+    @np.errstate(over="ignore", invalid="ignore")
     def log_prob(self, x):
         """Exact log-density; accepts one point (D,) or a batch (n, D). A
-        non-finite value after layer i raises NumericalOverflowError with
-        ``layer_index`` i (the first such layer in the first block of rows
-        where one occurs)."""
+        non-finite log-density, from the layers or the base density, raises
+        NumericalOverflowError (naming no row: the rows may be private)."""
         self._require_plain("log_prob")
         pts, single = self._check_input(x)
-        z, total = push_rows(self.layers, pts, check=True)
+        z, total = push_rows(self.layers, pts)
         out = self.base.log_prob(z) + total
+        if not np.all(np.isfinite(out)):
+            raise NumericalOverflowError("a row's log-density is not finite")
         return float(out[0]) if single else out
 
     def transform_to_base(self, x) -> np.ndarray:
@@ -240,6 +242,7 @@ class FlowModel:
 
     # -- gradients ----------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def clipped_grad_sum(self, x, clip_norm: float):
         """Sum over the batch of per-example loss gradients clipped to l2
         norm ``clip_norm``, computed without materializing the (m, P)
@@ -250,7 +253,8 @@ class FlowModel:
         each call returns a new gradient array. A stacked model takes
         (k, m, D) rows, member j's batch in slice j, and returns losses and
         norms of shape (k, m) and the k members' summed gradients in one
-        vector laid out like ``params``.
+        vector laid out like ``params``. A non-finite loss, gradient entry or
+        norm raises TrainingInstabilityError.
 
         Each layer's factors are formed on the reverse pass, and its share of
         the squared norms right after. At ``clip_norm=np.inf`` every clipping
@@ -293,8 +297,8 @@ class FlowModel:
             weights = 1.0 / np.maximum(1.0, norms / clip_norm)
             for layer, p, view in zip(self.layers, pieces, views):
                 layer.pieces_weighted_sum(p, weights, view)
-        if not (np.all(np.isfinite(out)) and np.all(np.isfinite(norms))):
-            raise TrainingInstabilityError("non-finite gradient in batch")
+        if not all(np.all(np.isfinite(a)) for a in (losses, out, norms)):
+            raise TrainingInstabilityError("non-finite loss or gradient")
         return losses, out, norms
 
     # -- serialization ------------------------------------------------------
@@ -362,7 +366,7 @@ def _layer_shape(layer):
             getattr(layer, "s_max", None))
 
 
-def push_rows(layers, x, inverse=False, check=False):
+def push_rows(layers, x, inverse=False):
     """Push the rows of x through ``layers`` in order, with each layer's
     ``forward`` (or ``inverse``), in blocks of at most BLOCK_ROWS rows, so
     the layers' per-row temporaries stay bounded whatever the batch size.
@@ -375,24 +379,21 @@ def push_rows(layers, x, inverse=False, check=False):
     gave +0.0) and leaves a row whose trunk overflows as it is (the pass
     gave NaN from inf * 0).
 
-    Returns (image (n, D), summed per-row log-determinants (n,)). With
-    ``check``, a non-finite image or log-determinant after layer i (the
-    index in ``layers``, skipped layers counted) raises
-    NumericalOverflowError with ``layer_index`` i.
+    Returns (image (n, D), summed per-row log-determinants (n,)), untested:
+    no layer makes a non-finite value finite again (each MADE output u_i
+    carries x_i, actnorm is affine, log-dets add), so ``log_prob`` and
+    ``clipped_grad_sum`` run with overflow warnings off and test only their
+    results.
     """
-    live = [(i, layer) for i, layer in enumerate(layers)
+    live = [layer for layer in layers
             if not (isinstance(layer, MadeLayer) and layer.heads_are_zero())]
     out = np.empty(x.shape)
     total = np.zeros(x.shape[0])
     for start in range(0, x.shape[0], BLOCK_ROWS):
         z = x[start:start + BLOCK_ROWS]
         block_total = total[start:start + BLOCK_ROWS]
-        for i, layer in live:
+        for layer in live:
             z, ld = layer.inverse(z) if inverse else layer.forward(z)
-            if check and not (np.all(np.isfinite(z))
-                              and np.all(np.isfinite(ld))):
-                raise NumericalOverflowError(
-                    f"non-finite values after layer {i}", layer_index=i)
             block_total += ld
         out[start:start + BLOCK_ROWS] = z
     return out, total

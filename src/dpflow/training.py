@@ -183,16 +183,23 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
     The run draws ``steps_for_budget(accountant.eps, epsilon, max_steps)``
     batches: every step it executes (or skips on a non-finite batch, which
     is still charged) keeps the cumulative cost below the configured
-    epsilon. ``accountant`` is anything with a nondecreasing ``eps(t)``.
+    epsilon. ``accountant`` is anything with a nondecreasing ``eps(t)``; one
+    whose method, q, sigma or delta differ from the run's (accountant,
+    batch_size / n, noise_multiplier, delta) raises ConfigurationError.
     """
     config.validate()
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < config.batch_size:
         raise ConfigurationError("batch size exceeds dataset size")
+    run = dict(method=config.accountant, q=config.batch_size / n,
+               sigma=config.noise_multiplier, delta=config.delta)
     if accountant is None:
-        accountant = Accountant(config.accountant, config.batch_size / n,
-                                config.noise_multiplier, config.delta)
+        accountant = Accountant(**run)
+    for name, value in run.items():
+        if getattr(accountant, name, value) != value:
+            raise ConfigurationError(f"accountant {name} differs from the "
+                                     f"run's {value!r}")
     horizon = steps_for_budget(accountant.eps, config.epsilon,
                                config.max_steps)
 
@@ -221,12 +228,9 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
         idx = _draw_batch(sample_rng, n, config)
         # An empty Poisson batch gives a zero sum: a noise-only step.
         try:
-            losses, clipped_sum, _ = model.clipped_grad_sum(
-                X[idx], config.clip_norm)
-            skip = not np.all(np.isfinite(losses))
+            _, clipped_sum, _ = model.clipped_grad_sum(X[idx],
+                                                       config.clip_norm)
         except TrainingInstabilityError:
-            skip = True
-        if skip:
             # The batch was drawn, so its privacy cost is charged even
             # though the update is dropped.
             report.skipped_batches += 1

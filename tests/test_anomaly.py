@@ -500,6 +500,16 @@ def forks(monkeypatch):
     return pids
 
 
+def process_state(pid):
+    """The state letter of process ``pid`` (``Z`` for a zombie), or None
+    once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
 def use_workers(monkeypatch, workers):
     monkeypatch.setattr(anomaly, "_ensemble_workers", lambda k: workers)
 
@@ -641,6 +651,49 @@ class TestForkedEnsemble:
         X = np.random.default_rng(10).normal(size=(80, 2))
         with pytest.raises(ChildProcessError, match="killed by signal 9"):
             build_ensemble(X, 2, n_blocks=1, hidden=4, train_steps=3)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_orphaned_worker_exits_at_its_pipe_write(self):
+        """A worker whose parent dies before reading the reply fails its
+        pipe write (EPIPE) and exits within seconds. The middle process
+        forks the worker, reports its pid and dies; the worker waits until
+        it is orphaned, then sends its reply."""
+        report_r, report_w = os.pipe()
+        middle = os.fork()
+        if middle == 0:
+            code = 1
+            try:
+                os.close(report_r)
+                parent = os.getpid()
+
+                def run():
+                    deadline = time.monotonic() + 30
+                    while os.getppid() == parent \
+                            and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    return np.zeros(4)
+
+                worker, _ = anomaly._fork_worker(run, [report_w])
+                os.write(report_w, str(worker).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(report_w)
+        with open(report_r, "rb") as fh:
+            worker = int(fh.read())
+        assert os.waitstatus_to_exitcode(os.waitpid(middle, 0)[1]) == 0
+        try:
+            deadline = time.monotonic() + 10
+            while process_state(worker) not in (None, "Z"):
+                assert time.monotonic() < deadline, "orphaned worker runs on"
+                time.sleep(0.05)
+        finally:
+            if process_state(worker) is not None:
+                os.kill(worker, signal.SIGKILL)
+            try:  # a child only where this process adopts orphans
+                os.waitpid(worker, 0)
+            except ChildProcessError:
+                pass
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         def fork():

@@ -185,6 +185,76 @@ def test_train_gmm_base_huge_value_is_an_error(tmp_path, capsys, huge):
     assert not model.exists()
 
 
+def test_train_gmm_base_overflowing_row_is_one_error_line(tmp_path, capsys):
+    """A finite row that the fitted mixture cannot score (its square
+    overflows): exit 1 with one ``error:`` line, empty stdout and no
+    model, where the run once printed RuntimeWarnings and
+    ``"train_nll": Infinity``."""
+    X = dt.gen_half_moons(600, seed=0).X
+    X[0] = [1e150, 0.0]
+    path = tmp_path / "big.csv"
+    dt.save_csv(path, X)
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(path), "--out", str(model),
+              "--base", "gmm", "--max-steps", "3", "--batch-size", "64",
+              "--epsilon", "50"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "1e+150" not in err
+    assert not model.exists()
+
+
+def strict_json(text):
+    """Parse ``text`` refusing the NaN and Infinity keywords."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_init_infinite_epsilon_is_strict_json_and_replays(runner, small_data,
+                                                          tmp_path):
+    """At epsilon = inf the statistics are exact: the manifest says
+    ``"private": false``, both documents are strict JSON with epsilon
+    written as "inf", and the manifest replays the run."""
+    model = tmp_path / "init.json"
+    result = runner.invoke(cli, ["init", "--data", str(small_data),
+                                 "--out", str(model), "--epsilon", "inf",
+                                 "--blocks", "2", "--hidden", "4"])
+    assert result.exit_code == 0, result.output
+    assert strict_json(result.output)["epsilon"] == "inf"
+    doc = strict_json(Path(f"{model}.manifest.json").read_text())
+    assert doc["private"] is False and "spent_epsilon" not in doc
+    assert doc["config"]["epsilon"] == "inf"
+    again = tmp_path / "again.json"
+    result = runner.invoke(cli, ["init", "--config",
+                                 f"{model}.manifest.json",
+                                 "--out", str(again)])
+    assert result.exit_code == 0, result.output
+    assert again.read_bytes() == model.read_bytes()
+
+
+def test_train_infinite_epsilon_manifest_is_strict_json(runner, small_data,
+                                                        tmp_path):
+    model = tmp_path / "model.json"
+    args = train_args(small_data, model)
+    args[args.index("--epsilon") + 1] = "inf"
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0, result.output
+    summary = strict_json(result.output)
+    assert summary["steps"] == 5
+    manifest = Path(f"{model}.manifest.json")
+    assert strict_json(manifest.read_text())["config"]["epsilon"] == "inf"
+    again = tmp_path / "again.json"
+    result = runner.invoke(cli, ["train", "--config", str(manifest),
+                                 "--out", str(again)])
+    assert result.exit_code == 0, result.output
+    assert strict_json(result.output) == summary
+    assert again.read_bytes() == model.read_bytes()
+
+
 def test_sample_and_logprob_round_trip(runner, small_data, tmp_path):
     model = tmp_path / "model.json"
     assert runner.invoke(cli, train_args(small_data, model)).exit_code == 0
@@ -444,6 +514,9 @@ def test_raw_data_releases_labelled_non_private(runner, small_data,
     ("--test-frac", "1", "--test-frac must be in (0, 1)"),
     ("--test-frac", "1.5", "--test-frac must be in (0, 1)"),
     ("--test-frac", "nan", "--test-frac must be in (0, 1)"),
+    # Once failed with only "need at least 20 reference rows".
+    ("--test-frac", "0.001", "--test-frac 0.001 gives 0 test rows of 400"),
+    ("--test-frac", "0.04", "--test-frac 0.04 gives 16 test rows of 400"),
     ("--train-steps", "-3", "step count must be nonnegative"),
     ("--blocks", "-1", "n_blocks must be >= 1"),
 ])
@@ -738,6 +811,20 @@ def test_accountant_range_exit_code(tmp_path, capsys, key, value, route):
         assert err.startswith("error:") and str(cfg) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_accountant_t_min_above_t_max_exit_code(tmp_path, capsys):
+    """Once tabulated t = 10, 14, 20 for --t-min 20 --t-max 10."""
+    out, manifest = tmp_path / "acct.csv", tmp_path / "manifest.json"
+    code, err = run_main(["accountant", "--q", "0.01", "--sigma", "1",
+                          "--delta", "1e-5", "--t-min", "20", "--t-max", "10",
+                          "--points", "3", "--out", str(out),
+                          "--manifest", str(manifest)], capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--t-min" in err and "--t-max" in err
+    assert not out.exists() and not manifest.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpflow import training
 from dpflow.accounting import Accountant, steps_for_budget
 from dpflow.data import gen_half_moons, standardize
-from dpflow.errors import ConfigurationError
+from dpflow.errors import ConfigurationError, TrainingInstabilityError
 from dpflow.flows import FlowModel, GmmBase, build_maf
 from dpflow.gmm import gmm_fit_em
 from dpflow.initialization import InitConfig, dp_nf_init
@@ -446,6 +446,33 @@ class TestTrainDpNf:
                 train_dp_nf(tiny_dataset(), model, cfg)
         assert model.params.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("method", "rdp"), ("q", 33 / 400), ("sigma", 1.2), ("delta", 2e-5)])
+    def test_mismatched_accountant_rejected(self, field, value):
+        """An accountant built for other settings would report another
+        run's epsilon: it is refused, naming the field, before any step."""
+        run = dict(method="gdp", q=32 / 400, sigma=1.0, delta=1e-5)
+        cfg = TrainConfig(epsilon=5.0, batch_size=32, noise_multiplier=1.0,
+                          delta=1e-5, accountant="gdp", max_steps=5)
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        before = model.params.copy()
+        with pytest.raises(ConfigurationError, match=f"accountant {field} "):
+            train_dp_nf(tiny_dataset(), model, cfg,
+                        accountant=Accountant(**{**run, field: value}))
+        assert model.params.tobytes() == before.tobytes()
+
+    def test_matching_accountant_gives_the_default_run(self):
+        cfg = TrainConfig(epsilon=5.0, batch_size=32, noise_multiplier=1.0,
+                          delta=1e-5, accountant="rdp", max_steps=5,
+                          eval_every=2)
+        runs = []
+        for acct in (None, Accountant("rdp", 32 / 400, 1.0, 1e-5)):
+            model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+            _, report = train_dp_nf(tiny_dataset(), model, cfg,
+                                    accountant=acct)
+            runs.append((model.params.tobytes(), report.to_jsonl()))
+        assert runs[0] == runs[1]
+
     def test_improvement_on_half_moons(self):
         ds = standardize(gen_half_moons(30_000, seed=1))
         rng = np.random.default_rng(0)
@@ -490,11 +517,9 @@ class TestTrainDpNf:
             return grad_sum(batch, clip_norm)
 
         model.clipped_grad_sum = counted
-        from dpflow.errors import TrainingInstabilityError
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingInstabilityError):
-                train_dp_nf(X, model, cfg,
-                            accountant=StubAccountant(lambda t: 0.01 * t))
+        with pytest.raises(TrainingInstabilityError):
+            train_dp_nf(X, model, cfg,
+                        accountant=StubAccountant(lambda t: 0.01 * t))
         assert drawn == [16] * (MAX_BAD_BATCHES + 1)
 
     def test_checkpoint_epsilons_nondecreasing(self):
@@ -531,6 +556,21 @@ class TestClippedGradSum:
             explicit = clip_rows(grads, clip).sum(axis=0)
             scale = max(1.0, np.abs(explicit).max())
             assert np.abs(fused - explicit).max() / scale < 1e-12
+
+    @pytest.mark.parametrize("clip", [1.0, np.inf])
+    @pytest.mark.parametrize("base", ["spherical", "gmm"])
+    def test_base_density_overflow_raises(self, base, clip):
+        """A finite row whose loss overflows in the base density raises
+        TrainingInstabilityError, with no RuntimeWarning on the way."""
+        X = tiny_dataset(64)
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        if base == "gmm":
+            model.base = GmmBase(gmm_fit_em(X, 2, n_iters=5, seed=0)[0])
+        X[3] = [1e160, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingInstabilityError):
+                model.clipped_grad_sum(X, clip)
 
 
 class TestSensitivityBound:
