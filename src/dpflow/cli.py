@@ -186,9 +186,9 @@ def _make_train_config(cfg) -> TrainConfig:
         sampling=cfg["sampling"], eval_every=cfg["eval_every"])
 
 
-def _build_model(cfg, X_train, dim, seed):
-    model = build_maf(dim, n_blocks=cfg["blocks"], hidden=cfg["hidden"],
-                      actnorm=cfg["actnorm"], seed=seed)
+def _build_model(cfg, X_train, seed):
+    model = build_maf(X_train.shape[1], n_blocks=cfg["blocks"],
+                      hidden=cfg["hidden"], actnorm=cfg["actnorm"], seed=seed)
     if cfg["base"] == "gmm":
         # Fit the mixture in the latent frame the base actually sees (at the
         # identity initialization, the stack's net permutation of the data;
@@ -229,7 +229,6 @@ def gen_data(**cfg):
 
 @cli.command("train")
 @_data_options()
-@click.option("--standardize", "do_standardize", is_flag=True, default=False)
 @click.option("--holdout-frac", type=float, default=0.1, show_default=True)
 @click.option("--out", type=click.Path(), required=True,
               help="Model file (JSON).")
@@ -242,10 +241,7 @@ def train(**cfg):
     if not 0.0 <= cfg["holdout_frac"] < 1.0:
         raise ConfigurationError(
             f"--holdout-frac must be in [0, 1), got {cfg['holdout_frac']}")
-    ds = dt.load_csv(cfg["data"], has_header=cfg["has_header"])
-    if cfg["do_standardize"]:
-        ds = dt.standardize(ds)
-    X = ds.X
+    X = dt.load_csv(cfg["data"], has_header=cfg["has_header"]).X
     rng = np.random.default_rng(cfg["seed"])
     holdout = None
     if cfg["holdout_frac"] > 0:
@@ -256,7 +252,7 @@ def train(**cfg):
                 f"of {X.shape[0]}; use 0 for no holdout")
         perm = rng.permutation(X.shape[0])
         holdout, X = X[perm[:n_hold]], X[perm[n_hold:]]
-    model = _build_model(cfg, X, ds.dim, cfg["seed"])
+    model = _build_model(cfg, X, cfg["seed"])
     model, rep = train_dp_nf(X, model, _make_train_config(cfg),
                              holdout=holdout)
     model.save(cfg["out"])
@@ -298,13 +294,12 @@ def logprob(**cfg):
     lp = model.log_prob(ds.X)
     if cfg["out"]:
         _write_rows(cfg["out"], ["log_prob"], lp[:, None])
-    _write_manifest("logprob", cfg)
+    _write_manifest("logprob", cfg, {"private": False})
     _echo_json({"mean_log_prob": float(np.mean(lp)), "rows": ds.n})
 
 
 @cli.command("eval-ll")
 @_data_options()
-@click.option("--standardize", "do_standardize", is_flag=True, default=False)
 @click.option("--folds", type=int, default=10, show_default=True)
 @_train_options
 @_common_options
@@ -315,20 +310,15 @@ def eval_ll(**cfg):
     splits = dt.make_cv_splits(ds.n, folds=cfg["folds"], seed=cfg["seed"])
     per_fold = []
     for fold, (tr, te) in enumerate(splits):
-        train_ds = dt.Dataset(ds.X[tr])
-        test_X = ds.X[te]
-        if cfg["do_standardize"]:
-            train_ds = dt.standardize(train_ds)
-            rec = train_ds.standardization
-            test_X = (test_X - rec.mean) / rec.std
-        model = _build_model(cfg, train_ds.X, ds.dim, cfg["seed"] + fold)
+        train_X = ds.X[tr]
+        model = _build_model(cfg, train_X, cfg["seed"] + fold)
         config = _make_train_config(cfg)
         config.seed = cfg["seed"] + fold
-        model, _rep = train_dp_nf(train_ds.X, model, config)
-        per_fold.append(float(np.mean(model.log_prob(test_X))))
+        model, _rep = train_dp_nf(train_X, model, config)
+        per_fold.append(float(np.mean(model.log_prob(ds.X[te]))))
         click.echo(f"fold {fold}: test log-likelihood {per_fold[-1]:.4f}",
                    err=True)
-    _write_manifest("eval-ll", cfg, _gdp_note(cfg))
+    _write_manifest("eval-ll", cfg, {"private": False, **_gdp_note(cfg)})
     _echo_json({"mean_test_log_likelihood": float(np.mean(per_fold)),
                 "std": float(np.std(per_fold)), "per_fold": per_fold})
 

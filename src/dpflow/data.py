@@ -16,16 +16,8 @@ from .errors import ConfigurationError, NonFiniteInputError
 
 
 @dataclass
-class Standardization:
-    mean: np.ndarray
-    std: np.ndarray
-
-
-@dataclass
 class Dataset:
     X: np.ndarray
-    columns: list[str] | None = None
-    standardization: Standardization | None = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -40,8 +32,8 @@ class Dataset:
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
-    """Parse a rectangular numeric CSV; the first line becomes column names
-    when ``has_header`` is set.
+    """Parse a rectangular numeric CSV; the first line is a header, and is
+    skipped, when ``has_header`` is set.
 
     A cell is read as Python's ``float()`` reads it. The header is read with
     ``csv``; the data rows go to numpy's C parser (``_parse_plain``), which
@@ -68,7 +60,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         data = _parse_rows(path, rows, has_header)
     if not np.all(np.isfinite(data)):
         raise NonFiniteInputError(f"{path}: non-finite values")
-    return Dataset(data, columns=header)
+    return Dataset(data)
 
 
 def _parse_plain(path, text, header_lines):
@@ -140,24 +132,22 @@ def write_rows(fh, header, rows):
 
 
 def save_csv(path, dataset: Dataset | np.ndarray):
+    """Write the rows as a CSV table with no header."""
     if isinstance(dataset, Dataset):
-        X, columns = dataset.X, dataset.columns
-    else:
-        X, columns = np.atleast_2d(np.asarray(dataset, dtype=float)), None
+        dataset = dataset.X
     with open(path, "w", newline="\n") as fh:
-        write_rows(fh, columns, X)
+        write_rows(fh, None, np.atleast_2d(np.asarray(dataset, dtype=float)))
 
 
 def standardize(dataset: Dataset) -> Dataset:
-    """Per-feature zero mean / unit std; the record enables the inverse."""
+    """Per-feature zero mean / unit std."""
     X = dataset.X
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     if np.any(std == 0):
         bad = int(np.flatnonzero(std == 0)[0])
         raise ConfigurationError(f"column {bad} is constant")
-    return Dataset((X - mean) / std, columns=dataset.columns,
-                   standardization=Standardization(mean, std))
+    return Dataset((X - mean) / std)
 
 
 def make_cv_splits(n: int, folds: int = 10, seed=0):

@@ -210,26 +210,34 @@ class FlowModel:
             raise NumericalOverflowError("a row's log-density is not finite")
         return float(out[0]) if single else out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def transform_to_base(self, x) -> np.ndarray:
         """Image of x under the layer stack (the point whose base density
         enters log_prob). Useful for fitting a data-dependent base: at the
         identity initialization this is exactly the stack's net permutation
         (and the actnorm maps), and ``push_rows`` skips the zero-head MADE
-        layers, so no trunk runs."""
+        layers, so no trunk runs. A non-finite image raises
+        NumericalOverflowError (naming no row: the rows may be private)."""
         self._require_plain("transform_to_base")
         pts, single = self._check_input(x)
         z, _ = push_rows(self.layers, pts)
+        if not np.all(np.isfinite(z)):
+            raise NumericalOverflowError("a row's image is not finite")
         return z[0] if single else z
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sample(self, n: int, seed) -> np.ndarray:
         """n draws: all n base points from one generator, then the layer
-        inverses in reverse order. ``n < 1`` raises ConfigurationError."""
+        inverses in reverse order. ``n < 1`` raises ConfigurationError, a
+        non-finite draw NumericalOverflowError."""
         self._require_plain("sample")
         if n < 1:
             raise ConfigurationError("n must be >= 1")
         rng = np.random.default_rng(seed)
         z, _ = push_rows(self.layers[::-1], self.base.sample(n, rng),
                          inverse=True)
+        if not np.all(np.isfinite(z)):
+            raise NumericalOverflowError("a sampled row is not finite")
         return z
 
     def nll(self, batch) -> float:
@@ -381,9 +389,8 @@ def push_rows(layers, x, inverse=False):
 
     Returns (image (n, D), summed per-row log-determinants (n,)), untested:
     no layer makes a non-finite value finite again (each MADE output u_i
-    carries x_i, actnorm is affine, log-dets add), so ``log_prob`` and
-    ``clipped_grad_sum`` run with overflow warnings off and test only their
-    results.
+    carries x_i, actnorm is affine, log-dets add), so the ``FlowModel``
+    passes run with overflow warnings off and test only their results.
     """
     live = [layer for layer in layers
             if not (isinstance(layer, MadeLayer) and layer.heads_are_zero())]

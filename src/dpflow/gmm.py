@@ -153,8 +153,7 @@ def _kmeanspp_centers(X: np.ndarray, m: int, rng) -> np.ndarray:
             total = d2.sum()
         if not np.isfinite(total):
             raise ConfigurationError(
-                "squared distances between points overflow; rescale the "
-                "data (e.g. --standardize)")
+                "squared distances between points overflow; rescale the data")
         if total <= 0:
             centers.append(X[rng.integers(len(X))])
             continue

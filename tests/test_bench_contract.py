@@ -14,6 +14,7 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import shlex
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,6 +116,24 @@ def test_workload_keywords_are_parameters(workloads):
             "data.gen_half_moons"} <= checked
 
 
+def argv_problems(words):
+    """(command, "unknown" or "missing", option) for each option a
+    ``dpflow`` argv (command first) gives that its command does not
+    declare, and each option the command requires that it does not give;
+    (command, "unknown", "command") when no command has that name."""
+    command = cli.commands.get(words[0])
+    if command is None:
+        return [(words[0], "unknown", "command")]
+    flags = {word.split("=", 1)[0] for word in words[1:]
+             if word.startswith("--")}
+    declared = {opt for param in command.params
+                for opt in param.opts + param.secondary_opts}
+    required = {param.opts[0] for param in command.params if param.required}
+    return ([(words[0], "unknown", flag) for flag in sorted(flags - declared)]
+            + [(words[0], "missing", flag)
+               for flag in sorted(required - flags)])
+
+
 def test_workload_command_lines_fit_the_cli(workloads):
     """Every ``cli_op`` argv list in ``perfbench/workloads.py`` gives only
     options its command declares, and every option it declares required."""
@@ -129,16 +148,67 @@ def test_workload_command_lines_fit_the_cli(workloads):
         assert isinstance(argv, ast.List), ast.unparse(argv)
         words = [item.value for item in argv.elts
                  if isinstance(item, ast.Constant)]
-        command = cli.commands[words[0]]
-        flags = {word for word in words[1:] if word.startswith("--")}
-        declared = {opt for param in command.params
-                    for opt in param.opts + param.secondary_opts}
-        required = {param.opts[0] for param in command.params
-                    if param.required}
-        problems += [(words[0], "unknown", flag)
-                     for flag in sorted(flags - declared)]
-        problems += [(words[0], "missing", flag)
-                     for flag in sorted(required - flags)]
+        problems += argv_problems(words)
         commands.append(words[0])
     assert problems == []
     assert sorted(commands) == ["anomaly-roc", "dp-ad", "logprob", "sample"]
+
+
+def readme_command_lines(text):
+    """The ``dpflow`` command lines of the ``sh`` blocks of a Markdown
+    text, each with its backslash continuations joined, split into words
+    (the leading ``dpflow`` dropped)."""
+    lines, block, pending = [], False, ""
+    for line in text.splitlines():
+        if line.startswith("```"):
+            block, pending = line == "```sh", ""
+            continue
+        if not block:
+            continue
+        pending += line.rstrip("\\").strip() + " "
+        if line.endswith("\\"):
+            continue
+        words = shlex.split(pending, comments=True)
+        pending = ""
+        if words[:1] == ["dpflow"]:
+            lines.append(words[1:])
+    return lines
+
+
+def test_readme_command_lines_fit_the_cli():
+    """Every ``dpflow`` line of the README's ``sh`` blocks names a command,
+    gives only options it declares and every option it requires, and every
+    command has such a line, so the documented usage cannot drift from the
+    CLI."""
+    readme = (BENCH.parent / "README.md").read_text()
+    lines = readme_command_lines(readme)
+    assert [problem for words in lines
+            for problem in argv_problems(words)] == []
+    assert sorted({words[0] for words in lines}) == sorted(cli.commands)
+
+
+def test_readme_line_reader_joins_continuations():
+    """The reader is not vacuous: it joins a continued line, skips other
+    languages' blocks, prose and comments, and the check flags an unknown
+    command, an unknown option and a missing required one."""
+    text = """Prose: dpflow hist --bins 3
+```sh
+# dpflow comment --bogus
+dpflow hist --data d.csv \\
+    --standardize --out h.csv
+pytest -q
+dpflow sample --n 5
+dpflow frobnicate
+```
+```python
+dpflow train --data x
+```
+"""
+    lines = readme_command_lines(text)
+    assert lines == [["hist", "--data", "d.csv", "--standardize", "--out",
+                      "h.csv"], ["sample", "--n", "5"], ["frobnicate"]]
+    assert [problem for words in lines
+            for problem in argv_problems(words)] == [
+        ("hist", "unknown", "--standardize"),
+        ("sample", "missing", "--model"), ("sample", "missing", "--out"),
+        ("frobnicate", "unknown", "command")]

@@ -16,6 +16,7 @@ from dpflow.cli import cli, main
 from dpflow.flows import FlowModel, build_maf
 from dpflow.training import train_flow
 from test_data import CSV_FILES, csv_float_oracle, csv_writer_oracle
+from test_flows import overflowing_model
 
 
 @pytest.fixture
@@ -181,7 +182,7 @@ def test_train_gmm_base_huge_value_is_an_error(tmp_path, capsys, huge):
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "overflow" in lines[0] and "--standardize" in lines[0]
+    assert "overflow" in lines[0] and "rescale the data" in lines[0]
     assert not model.exists()
 
 
@@ -473,7 +474,7 @@ def test_dp_ad_worker_death_is_one_error_line(small_data, tmp_path, capsys,
         os.waitpid(-1, os.WNOHANG)
 
 @pytest.mark.parametrize("command", ["hist", "project-pca", "anomaly-roc",
-                                     "downstream-knn"])
+                                     "downstream-knn", "logprob", "eval-ll"])
 def test_raw_data_releases_labelled_non_private(runner, small_data,
                                                 query_model, tmp_path,
                                                 command):
@@ -487,8 +488,12 @@ def test_raw_data_releases_labelled_non_private(runner, small_data,
         "downstream-knn": ["--model", str(query_model), "--train",
                            str(small_data), "--test", str(small_data),
                            "--k", "3", "--seed", "2"],
+        "logprob": ["--model", str(query_model), "--data", str(small_data)],
+        "eval-ll": ["--data", str(small_data), "--folds", "2",
+                    "--max-steps", "3", "--blocks", "1", "--hidden", "4",
+                    "--batch-size", "32", "--epsilon", "10"],
     }[command]
-    has_out = command != "downstream-knn"
+    has_out = command not in ("downstream-knn", "eval-ll")
     out, manifest = tmp_path / "out.csv", tmp_path / "m.json"
     first = runner.invoke(cli, [command, *args, "--manifest", str(manifest)]
                           + (["--out", str(out)] if has_out else []))
@@ -630,7 +635,7 @@ CONFIG_KEYS = [("gen-data", key) for key in
      ("epsilon", "delta", "sigma", "clip", "batch_size", "lr", "optimizer",
       "accountant", "sampling", "max_steps", "eval_every", "blocks",
       "hidden", "actnorm", "base", "gmm_components", "gmm_iters",
-      "holdout_frac", "do_standardize", "has_header", "seed")]
+      "holdout_frac", "has_header", "seed")]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
@@ -839,6 +844,20 @@ def test_sample_size_below_one_exit_code(small_data, tmp_path, capsys, n):
     assert not out.exists()
 
 
+def test_sample_overflow_exit_code(tmp_path, capsys):
+    """A model whose inverse overflows: exit 1 with one ``error:`` line and
+    no rows, where it once wrote ``inf,nan`` rows with RuntimeWarnings."""
+    model = tmp_path / "m.json"
+    overflowing_model().save(model)
+    out = tmp_path / "s.csv"
+    code, err = run_main(["sample", "--model", str(model), "--n", "4",
+                          "--out", str(out)], capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["s_max", "gmm_variance"])
 def test_overlong_literal_model_exit_code(small_data, tmp_path, capsys,
                                           where):
@@ -1005,6 +1024,45 @@ def test_unknown_config_key_exit_code(tmp_path, capsys, manifest):
     assert err.startswith("error:") and str(cfg) in err and "noise_sd" in err
     assert not out.exists()
     assert not (tmp_path / "rows.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-ll"])
+def test_standardize_flag_is_a_usage_error(small_data, tmp_path, capsys,
+                                           command):
+    """``--standardize`` is gone from both commands: a model describes its
+    CSV at the CSV's own scale. The flag is click's usage error, exit 2."""
+    out = tmp_path / "m.json"
+    argv = [command, "--data", str(small_data), "--standardize",
+            "--max-steps", "3"] + (["--out", str(out)]
+                                   if command == "train" else [])
+    code, err = run_main(argv, capsys)
+    assert code == 2
+    assert "No such option" in err and "--standardize" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+@pytest.mark.parametrize("command", ["train", "eval-ll"])
+def test_do_standardize_config_key_exit_code(small_data, tmp_path, capsys,
+                                             command, manifest):
+    """An old config file or manifest holding ``do_standardize`` exits 1
+    with one ``error:`` line naming the key; it is not read as a setting."""
+    settings = {"max_steps": 3, "blocks": 1, "hidden": 4,
+                "do_standardize": False}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "config": settings}
+                              if manifest else settings))
+    out = tmp_path / "m.json"
+    argv = [command, "--config", str(cfg), "--data", str(small_data),
+            "--manifest", str(tmp_path / "manifest.json")] + (
+        ["--out", str(out)] if command == "train" else [])
+    code, err = run_main(argv, capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cfg) in lines[0] and "do_standardize" in lines[0]
+    assert not out.exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,26 +14,18 @@ from dpflow.data import (Dataset, _parse_plain, dimwise_histogram,
 from dpflow.errors import ConfigurationError, NonFiniteInputError
 
 
-def unstandardize(dataset):
-    """Oracle: invert ``standardize`` from the record it attaches, which
-    ``eval-ll`` reads."""
-    rec = dataset.standardization
-    return Dataset(dataset.X * rec.std + rec.mean, columns=dataset.columns)
-
-
 class TestCsv:
     def test_literal_two_by_two(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("1,2\n3,4\n")
         ds = load_csv(path)
         np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
-        assert ds.columns is None
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("x,y\n1,2\n")
         ds = load_csv(path, has_header=True)
-        assert ds.columns == ["x", "y"]
+        assert vars(ds).keys() == {"X"}
         np.testing.assert_array_equal(ds.X, [[1.0, 2.0]])
 
     def test_round_trip_exact(self, tmp_path):
@@ -84,10 +76,9 @@ class TestCsvBulk:
         path = tmp_path / "x.csv"
         save_csv(path, X)
         assert path.read_bytes() == csv_writer_oracle(None, X).encode()
-        ds = Dataset(X[2:], columns=["a,b", 'say "c"', "d"])
-        save_csv(path, ds)
-        assert path.read_bytes() == \
-            csv_writer_oracle(ds.columns, ds.X).encode()
+        # A Dataset is written as its rows, with no header line.
+        save_csv(path, Dataset(X[2:]))
+        assert path.read_bytes() == csv_writer_oracle(None, X[2:]).encode()
         # Integer and 1-D inputs are written as floats, one row.
         save_csv(path, np.array([1, 2, 3]))
         assert path.read_text() == "1.0,2.0,3.0\n"
@@ -221,7 +212,6 @@ class TestCsvFastPath:
         path = tmp_path / "h.csv"
         path.write_bytes(b'"a\nb",c\r\n1,2\r\n3,4\r\n')
         ds = load_csv(path, has_header=True)
-        assert ds.columns == ["a\nb", "c"]
         np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_undecodable_bytes_rejected(self, tmp_path):
@@ -300,10 +290,12 @@ class TestStandardize:
         np.testing.assert_allclose(ds.X.std(axis=0), 1.0, rtol=1e-12)
 
     def test_inverse_round_trip(self):
+        """Rescaling by the original rows' mean and std gives them back."""
         rng = np.random.default_rng(2)
         original = Dataset(rng.normal(5.0, 0.1, size=(50, 2)))
-        back = unstandardize(standardize(original))
-        np.testing.assert_allclose(back.X, original.X, atol=1e-12)
+        back = standardize(original).X * original.X.std(axis=0) \
+            + original.X.mean(axis=0)
+        np.testing.assert_allclose(back, original.X, atol=1e-12)
 
     def test_constant_column_rejected(self):
         with pytest.raises(ConfigurationError, match="column 1"):

@@ -389,6 +389,30 @@ class TestSampling:
                 back, _ = layer.inverse(back)
             assert np.abs(back - x).max() < 1e-8
 
+    def test_sample_overflow_raises(self):
+        """Draws that overflow in the layer inverses raise, with no
+        RuntimeWarning (pytest makes one an error) and no value named."""
+        with pytest.raises(NumericalOverflowError) as err:
+            overflowing_model().sample(4, 0)
+        assert "inf" not in str(err.value) and "nan" not in str(err.value)
+
+    def test_transform_to_base_non_finite_image_raises(self):
+        """A finite row whose image is NaN raises, naming no value."""
+        with pytest.raises(NumericalOverflowError) as err:
+            overflowing_model().transform_to_base([[-1.7e308, 1.7e308]])
+        assert "308" not in str(err.value)
+
+
+def overflowing_model():
+    """A 2-D flow whose MADE shift heads (1e308) and log-scale heads (5)
+    overflow on sampling: its draws are inf and NaN."""
+    model = build_maf(2, n_blocks=2, hidden=4, seed=0)
+    for layer in model.layers:
+        if isinstance(layer, MadeLayer):
+            layer.bm[...] = 1e308
+            layer.ba[...] = 5.0
+    return model
+
 
 def stack_oracle(layers, x, inverse=False):
     """One unblocked pass of every row through ``layers``: the image and
