@@ -16,6 +16,6 @@ from .flows import (ActNormLayer, FlowModel, GmmBase, MadeLayer,
 from .gmm import GmmParams, gmm_fit_em, gmm_logpdf, gmm_sample
 from .initialization import InitConfig, dp_nf_init, laplace_init_scale
 from .training import (OptimizerState, TrainConfig, TrainReport, apply_update,
-                       noisy_mean, train_dp_nf, train_flow)
+                       train_dp_nf, train_flow)
 
 __version__ = "0.1.0"

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_child, reap, usable_processes
 from .errors import ConfigurationError
 from .flows import FlowModel, build_maf
 from .training import train_flow
@@ -194,17 +193,9 @@ def build_ensemble(X, k: int, *, n_blocks: int = 5, hidden: int = 64,
 
 
 def _ensemble_workers(k: int) -> int:
-    """Processes that train an ensemble of k: one per usable CPU, at most
-    k. One (no fork) where ``os.fork`` is missing or another thread is
-    alive: a forked child runs only the calling thread, so a lock another
-    thread holds would stay locked in it."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(k, cpus))
+    """Processes that train an ensemble of k: ``usable_processes()``, at
+    most k."""
+    return min(k, usable_processes())
 
 
 def _train_in_workers(train, stacks):
@@ -222,14 +213,10 @@ def _train_in_workers(train, stacks):
         replies = [_read_to_eof(fd) for _, fd in children]
         finished = True
     finally:
-        for pid, fd in children:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for stack, (pid, _), reply, status in zip(stacks[1:], children, replies,
-                                              statuses):
-        code = os.waitstatus_to_exitcode(status)
+        codes = reap([pid for pid, _ in children],
+                     [fd for _, fd in children], finished)
+    for stack, (pid, _), reply, code in zip(stacks[1:], children, replies,
+                                            codes):
         if reply[:1] == b"\1" and code == 1:
             raise pickle.loads(reply[1:])
         if code != 0 or reply[:1] != b"\0" \
@@ -246,34 +233,30 @@ def _train_in_workers(train, stacks):
 def _fork_worker(run, inherited):
     """Fork a child that calls ``run()`` and writes to a pipe a 0 byte and
     the bytes of the array it returns, or a 1 byte and its pickled
-    exception, then leaves through ``os._exit``. Returns (pid, read end of
+    exception, then exits with that first byte. Returns (pid, read end of
     the pipe).
 
     The child closes the ``inherited`` read ends of earlier children and
     its own, so once this process is gone its write fails and it exits."""
     read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        for fd in [read_fd, *inherited]:
-            os.close(fd)
+
+    def child():
         try:
             reply = b"\0" + run().tobytes()
         except BaseException as exc:
             reply = b"\1" + _pickle_error(exc)
         with open(write_fd, "wb") as fh:
             fh.write(reply)
-        code = reply[0]
+        return reply[0]
+
+    try:
+        pid = fork_child(child, [read_fd, *inherited])
+    except BaseException:
+        os.close(read_fd)
+        raise
     finally:
-        os._exit(code)
+        os.close(write_fd)
+    return pid, read_fd
 
 
 def _read_to_eof(fd) -> bytes:

@@ -7,16 +7,27 @@ update in place to the model's flat parameter buffer. The number of steps is
 fixed once, before the loop, as the last step whose cumulative accountant cost
 stays below the epsilon budget (capped at ``max_steps``); the accountant is
 consulted again only at checkpoints and at the end.
+
+The noise does not depend on the model, so a forked producer process draws
+it ahead of the steps, on another CPU, from the run's own noise generator.
+The noise stays in this process when sigma is 0, when the run has no step,
+and where the library may not fork (``os.fork`` missing, another thread
+alive, one usable CPU). Nothing selects this: the draws, and so the params
+and the report, have the same bytes either way. The producer ends with the
+run, which raises ChildProcessError if it dies first.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import fork_child, reap, usable_processes
 from .accounting import Accountant, steps_for_budget
 from .errors import ConfigurationError, TrainingInstabilityError
 from .flows import FlowModel
@@ -25,6 +36,8 @@ from .flows import FlowModel
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Consecutive non-finite batches tolerated before training gives up.
 MAX_BAD_BATCHES = 20
+# Noise blocks a forked producer may draw ahead of the step that adds them.
+NOISE_SLOTS = 4
 
 
 @dataclass
@@ -110,23 +123,102 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def noisy_mean(total: np.ndarray, clip_norm: float, noise_multiplier: float,
-               rng, denominator: int) -> np.ndarray:
-    """(sum of clipped gradients + N(0, (sigma C)^2 I)) / denominator.
+def _draw_noise(rng, scale: float, out: np.ndarray):
+    """One noise block N(0, scale^2 I) into ``out``: the draws and floats
+    of ``rng.standard_normal(out.shape) * scale``."""
+    rng.standard_normal(out=out)
+    out *= scale
 
-    ``denominator`` is the nominal batch size b, also under Poisson
-    sampling, where the drawn size varies.
+
+def _produce_noise(rng, scale: float, ring: np.ndarray, count: int,
+                   ready_w: int, free_r: int) -> int:
+    """The producer's loop: block j into slot j mod S of ``ring``, once
+    the parent has freed that slot, then a ready token. Ends after
+    ``count`` blocks or at the end of the free pipe; a ready token written
+    after the parent is gone raises BrokenPipeError."""
+    for j in range(count):
+        if j >= len(ring) and not os.read(free_r, 1):
+            break
+        _draw_noise(rng, scale, ring[j % len(ring)])
+        os.write(ready_w, b"\0")
+    return 0
+
+
+class _NoiseStream:
+    """The run's noise blocks N(0, (sigma C)^2 I_P), in the order one
+    generator draws them, and the noisy mean that adds each to a clipped
+    sum.
+
+    Where ``usable_processes()`` allows a second process, a forked
+    producer draws up to ``count`` blocks ahead into the NOISE_SLOTS slots
+    of an anonymous shared mmap; a one-byte token on one pipe says a slot
+    is ready, one on the other says it is free again. Otherwise, and when
+    ``count`` is 0, each block is drawn in this process when it is needed;
+    with sigma C = 0 none is drawn. Either way the bytes are the same.
+    Leaving the ``with`` block reaps the producer, SIGKILLed first if the
+    block raised.
     """
-    if denominator < 1:
-        raise ConfigurationError("empty gradient batch")
-    if noise_multiplier <= 0:
-        return total / denominator
-    # Same stream and floats as total + rng.normal(0, sigma C), one buffer.
-    out = rng.standard_normal(total.shape)
-    out *= noise_multiplier * clip_norm
-    out += total
-    out /= denominator
-    return out
+
+    def __init__(self, rng, scale: float, size: int, count: int):
+        self.rng, self.scale, self.count = rng, scale, count
+        self.taken = 0
+        self.pid = None
+        self.fds = ()
+        if scale == 0 or count == 0 or usable_processes() < 2:
+            self.ring = np.empty((1, size))
+            return
+        self.ring = np.frombuffer(
+            mmap.mmap(-1, NOISE_SLOTS * size * 8)).reshape(NOISE_SLOTS, size)
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            self.pid = fork_child(
+                lambda: _produce_noise(rng, scale, self.ring, count, ready_w,
+                                       free_r), [ready_r, free_w])
+        except BaseException:
+            os.close(ready_r)
+            os.close(free_w)
+            raise
+        finally:
+            os.close(ready_w)
+            os.close(free_r)
+        self.fds = (ready_r, free_w)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is not None:
+            reap([self.pid], self.fds, finished=exc_type is None)
+
+    def noisy_mean(self, total: np.ndarray, denominator: int) -> np.ndarray:
+        """(total + the next noise block) / denominator, in a new array:
+        the floats of ``(rng.normal(0, sigma C, P) + total) / denominator``.
+        With sigma C = 0 it is total / denominator and takes no block.
+
+        ``denominator`` is the nominal batch size b, also under Poisson
+        sampling, where the drawn size varies.
+        """
+        if self.scale == 0:
+            return total / denominator
+        j = self.taken
+        slot = self.ring[j % len(self.ring)]
+        if self.pid is None:
+            _draw_noise(self.rng, self.scale, slot)
+        elif not os.read(self.fds[0], 1):
+            raise ChildProcessError(
+                f"noise producer {self.pid} ended before the run")
+        out = np.add(slot, total)
+        self.taken += 1
+        if self.pid is not None and j + len(self.ring) < self.count:
+            try:
+                os.write(self.fds[1], b"\0")
+            except BrokenPipeError:
+                raise ChildProcessError(
+                    f"noise producer {self.pid} ended before the run") \
+                    from None
+        out /= denominator
+        return out
 
 
 def apply_update(params: np.ndarray, grad: np.ndarray, state: OptimizerState,
@@ -208,7 +300,6 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
 
     state = OptimizerState()
     report = TrainReport()
-    denominator = config.batch_size
     bad_streak = 0
 
     def spent(t):
@@ -224,29 +315,30 @@ def train_dp_nf(X, model: FlowModel, config: TrainConfig,
         report.checkpoints.append(
             Checkpoint(step, epsilon, train_nll, hold_nll))
 
-    for t in range(1, horizon + 1):
-        idx = _draw_batch(sample_rng, n, config)
-        # An empty Poisson batch gives a zero sum: a noise-only step.
-        try:
-            _, clipped_sum, _ = model.clipped_grad_sum(X[idx],
-                                                       config.clip_norm)
-        except TrainingInstabilityError:
-            # The batch was drawn, so its privacy cost is charged even
-            # though the update is dropped.
-            report.skipped_batches += 1
-            bad_streak += 1
-            if bad_streak > MAX_BAD_BATCHES:
-                raise TrainingInstabilityError(
-                    f"{bad_streak} consecutive non-finite batches")
-            continue
-        bad_streak = 0
-        noisy = noisy_mean(clipped_sum, config.clip_norm,
-                           config.noise_multiplier, noise_rng, denominator)
-        apply_update(model.params, noisy, state, config)
-        model.project_params()
-        report.steps += 1
-        if report.steps % config.eval_every == 0:
-            checkpoint(report.steps, spent(t))
+    with _NoiseStream(noise_rng, config.noise_multiplier * config.clip_norm,
+                      model.n_params, horizon) as noise:
+        for t in range(1, horizon + 1):
+            idx = _draw_batch(sample_rng, n, config)
+            # An empty Poisson batch gives a zero sum: a noise-only step.
+            try:
+                _, clipped_sum, _ = model.clipped_grad_sum(X[idx],
+                                                           config.clip_norm)
+            except TrainingInstabilityError:
+                # The batch was drawn, so its privacy cost is charged even
+                # though the update is dropped.
+                report.skipped_batches += 1
+                bad_streak += 1
+                if bad_streak > MAX_BAD_BATCHES:
+                    raise TrainingInstabilityError(
+                        f"{bad_streak} consecutive non-finite batches")
+                continue
+            bad_streak = 0
+            noisy = noise.noisy_mean(clipped_sum, config.batch_size)
+            apply_update(model.params, noisy, state, config)
+            model.project_params()
+            report.steps += 1
+            if report.steps % config.eval_every == 0:
+                checkpoint(report.steps, spent(t))
 
     report.final_epsilon = spent(horizon)
     checkpoint(report.steps, report.final_epsilon)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dpflow import anomaly as ad
 from dpflow import data as dt
+from dpflow import training
 from dpflow.accounting import Accountant, gdp_mu
 from dpflow.cli import cli, main
 from dpflow.flows import FlowModel, build_maf
@@ -470,6 +471,30 @@ def test_dp_ad_worker_death_is_one_error_line(small_data, tmp_path, capsys,
     assert err.startswith("error: ensemble worker") and "exit code 3" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_noise_producer_death_is_one_error_line(small_data, tmp_path,
+                                                      capsys, monkeypatch):
+    """A noise producer that dies ends train with one ``error:`` line and
+    exit 1, writes no model and leaves no process behind."""
+    parent = os.getpid()
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise AssertionError("noise drawn in the training process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(training, "_draw_noise", die_in_child)
+    model = tmp_path / "model.json"
+    code, err = run_main(train_args(small_data, model), capsys)
+    assert code == 1
+    assert err.startswith("error: noise producer")
+    assert len(err.splitlines()) == 1
+    assert not model.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

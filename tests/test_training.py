@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,15 +11,16 @@ from hypothesis import strategies as st
 
 from dpflow import training
 from dpflow.accounting import Accountant, steps_for_budget
-from dpflow.data import gen_half_moons, standardize
+from dpflow.data import gen_half_moons, gen_pinwheel, standardize
 from dpflow.errors import ConfigurationError, TrainingInstabilityError
 from dpflow.flows import FlowModel, GmmBase, build_maf
 from dpflow.gmm import gmm_fit_em
 from dpflow.initialization import InitConfig, dp_nf_init
-from dpflow.training import (MAX_BAD_BATCHES, OptimizerState, TrainConfig,
-                             _draw_batch, apply_update, noisy_mean,
-                             train_dp_nf, train_flow)
+from dpflow.training import (MAX_BAD_BATCHES, NOISE_SLOTS, OptimizerState,
+                             TrainConfig, _draw_batch, _NoiseStream,
+                             apply_update, train_dp_nf, train_flow)
 
+from test_anomaly import forks, no_child_left, process_state  # noqa: F401
 from test_flows import example_grad
 
 
@@ -91,6 +96,27 @@ class TestClipGrad:
                                    rtol=1e-12)
 
 
+def noisy_mean(total: np.ndarray, clip_norm: float, noise_multiplier: float,
+               rng, denominator: int) -> np.ndarray:
+    """(sum of clipped gradients + N(0, (sigma C)^2 I)) / denominator, the
+    noise drawn from ``rng`` at the call: the oracle ``_NoiseStream``'s
+    noisy mean must reproduce bit for bit.
+
+    ``denominator`` is the nominal batch size b, also under Poisson
+    sampling, where the drawn size varies.
+    """
+    if denominator < 1:
+        raise ConfigurationError("empty gradient batch")
+    if noise_multiplier <= 0:
+        return total / denominator
+    # Same stream and floats as total + rng.normal(0, sigma C), one buffer.
+    out = rng.standard_normal(total.shape)
+    out *= noise_multiplier * clip_norm
+    out += total
+    out /= denominator
+    return out
+
+
 def noisy_mean_oracle(total, clip_norm, noise_multiplier, rng, denominator):
     """The allocating form ``noisy_mean`` must reproduce bit for bit."""
     if noise_multiplier > 0:
@@ -157,6 +183,87 @@ class TestNoisyMean:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             noisy_mean(np.zeros(3), 1.0, 1.0, np.random.default_rng(0), 0)
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture(params=["here", "forked"])
+def where(request, monkeypatch):
+    """Where a ``_NoiseStream`` opened in the test draws its blocks: in
+    this process (one usable CPU) or in a forked producer (two)."""
+    use_cpus(monkeypatch, 1 if request.param == "here" else 2)
+    return request.param
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestNoiseStream:
+    """``_NoiseStream.noisy_mean``, the trainer's one noise path, keeps the
+    contract of ``noisy_mean`` whether this process or a forked producer
+    draws the blocks."""
+
+    def test_bitwise_equal_to_noisy_mean(self, where, forks):
+        rng = np.random.default_rng(4)
+        counts = (1, NOISE_SLOTS, 3 * NOISE_SLOTS + 1)
+        for count in counts:
+            clip, sigma = (float(rng.uniform(0.1, 300)),
+                           float(rng.uniform(0.1, 3)))
+            denominator = int(rng.integers(3, 200)) | 1
+            oracle_rng = np.random.default_rng(99 + count)
+            with _NoiseStream(np.random.default_rng(99 + count),
+                              sigma * clip, 257, count) as noise:
+                for _ in range(count):
+                    total = rng.normal(size=257) \
+                        * 10.0 ** rng.integers(-3, 4, 257)
+                    kept = total.copy()
+                    got = noise.noisy_mean(total, denominator)
+                    assert total.tobytes() == kept.tobytes()
+                    assert got.tobytes() == noisy_mean(
+                        total, clip, sigma, oracle_rng,
+                        denominator).tobytes()
+        assert len(forks) == (len(counts) if where == "forked" else 0)
+
+    def test_deterministic_given_seed(self, monkeypatch, forks):
+        runs = []
+        for cpus in (2, 2, 1):
+            use_cpus(monkeypatch, cpus)
+            with _NoiseStream(np.random.default_rng(42), 1.0, 4, 9) as noise:
+                runs.append([noise.noisy_mean(np.full(4, 3.0), 3).tobytes()
+                             for _ in range(9)])
+        assert runs[0] == runs[1] == runs[2]
+        assert len(forks) == 2
+
+    def test_noise_variance(self, where):
+        # Per-coordinate variance of the noise term is (sigma C / b)^2; the
+        # P coordinates of a block are independent draws.
+        sigma, clip, b, reps, size = 0.9, 2.0, 4, 50, 4000
+        with _NoiseStream(np.random.default_rng(3), sigma * clip, size,
+                          reps) as noise:
+            draws = np.array([noise.noisy_mean(np.zeros(size), b)
+                              for _ in range(reps)])
+        target = (sigma * clip / b) ** 2
+        assert np.var(draws) == pytest.approx(target, rel=0.02)
+
+    def test_zero_noise_is_exact_mean_and_forks_nothing(self, where, forks):
+        grads = np.random.default_rng(2).normal(size=(5, 7))
+        with _NoiseStream(np.random.default_rng(0), 0.0, 7, 3) as noise:
+            out = noise.noisy_mean(grads.sum(axis=0), 5)
+            one = noise.noisy_mean(grads[0], 1)
+        assert out.tobytes() == (grads.sum(axis=0) / 5).tobytes()
+        np.testing.assert_allclose(out, grads.mean(axis=0), rtol=1e-15)
+        np.testing.assert_array_equal(one, grads[0])
+        assert forks == []
+
+    def test_fewer_blocks_taken_than_drawn(self, where):
+        """Skipped batches leave blocks untaken: the producer, waiting for
+        a free slot, sees the pipe close and exits."""
+        start = time.monotonic()
+        with _NoiseStream(np.random.default_rng(1), 1.0, 16, 50) as noise:
+            for _ in range(NOISE_SLOTS + 2):
+                noise.noisy_mean(np.zeros(16), 1)
+        assert time.monotonic() - start < 10
 
 
 class TestApplyUpdate:
@@ -665,3 +772,264 @@ class TestTrainFlow:
             parts[1] = np.zeros((0, 2))
         with pytest.raises(ConfigurationError):
             train_flow(parts, stack, 3, batch_size=4, seed=seeds)
+
+
+class OracleNoise:
+    """The run's noise as drawn before the producer: ``noisy_mean`` on the
+    noise generator, in this process, at each executed step. Stands in for
+    ``training._NoiseStream``; ``scale`` is sigma C."""
+
+    def __init__(self, rng, scale, size, count):
+        self.rng, self.scale = rng, scale
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def noisy_mean(self, total, denominator):
+        return noisy_mean(total, 1.0, self.scale, self.rng, denominator)
+
+
+def moons_run(**changes):
+    """Half-moons, GDP, uniform batches, spherical base: the benchmark's
+    reference config at a smaller size."""
+    X = standardize(gen_half_moons(1200, seed=3)).X
+    model = build_maf(2, n_blocks=2, hidden=16, seed=3)
+    cfg = TrainConfig(learning_rate=3e-4, batch_size=64,
+                      noise_multiplier=0.8, clip_norm=300.0, epsilon=3.0,
+                      delta=3.7e-5, accountant="gdp", max_steps=60, seed=5,
+                      eval_every=25)
+    for name, value in changes.items():
+        setattr(cfg, name, value)
+    accountant = StubAccountant(lambda t: 1e-3 * t) \
+        if cfg.noise_multiplier == 0 else None
+    return X[:1000], model, cfg, accountant, X[1000:]
+
+
+def pinwheel_run():
+    """Pinwheel, RDP, Poisson batches, actnorm set by ``dp_nf_init`` and a
+    5-component ``GmmBase``: the benchmark's other branch, smaller."""
+    X = standardize(gen_pinwheel(1200, seed=4)).X
+    model = build_maf(2, n_blocks=2, hidden=16, actnorm=True, seed=4)
+    dp_nf_init(X, model, InitConfig(clip_range=8.0, epsilon=5.0,
+                                    delta=1e-5, seed=4))
+    params, _ = gmm_fit_em(model.transform_to_base(X), 5, n_iters=30,
+                           seed=4)
+    model.base = GmmBase(params)
+    cfg = TrainConfig(learning_rate=3e-4, batch_size=64,
+                      noise_multiplier=0.8, clip_norm=300.0, epsilon=4.5,
+                      delta=3.7e-5, accountant="rdp", sampling="poisson",
+                      max_steps=60, seed=6, eval_every=25)
+    return X[:1000], model, cfg, None, X[1000:]
+
+
+def skipping_run():
+    """A run in which every third batch is non-finite and skipped."""
+    model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+    grad_sum = model.clipped_grad_sum
+    drawn = []
+
+    def every_third_fails(batch, clip_norm):
+        drawn.append(len(batch))
+        if len(drawn) % 3 == 0:
+            raise TrainingInstabilityError("non-finite batch")
+        return grad_sum(batch, clip_norm)
+
+    model.clipped_grad_sum = every_third_fails
+    cfg = TrainConfig(epsilon=5.0, batch_size=16, max_steps=60, seed=2,
+                      eval_every=7)
+    return tiny_dataset(), model, cfg, StubAccountant(lambda t: 1e-3 * t), \
+        None
+
+
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def one_cpu(monkeypatch):
+    use_cpus(monkeypatch, 1)
+
+
+# (id, run, forks expected, set-up that forbids the fork or None)
+PRODUCER_CASES = [
+    ("moons_gdp_uniform", moons_run, 1, None),
+    ("pinwheel_rdp_poisson_actnorm_gmm", pinwheel_run, 1, None),
+    ("skipped_batches", skipping_run, 1, None),
+    ("sigma_0", lambda: moons_run(noise_multiplier=0.0), 0, None),
+    ("max_steps_0", lambda: moons_run(max_steps=0), 0, None),
+    ("no_os_fork", moons_run, 0, no_fork),
+    ("one_cpu", moons_run, 0, one_cpu),
+]
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestNoiseProducer:
+    """``train_dp_nf`` draws its noise in a forked producer where it may,
+    with the bytes of the in-process run, and no process outlives it."""
+
+    @pytest.mark.parametrize("make, want_forks, forbid",
+                             [case[1:] for case in PRODUCER_CASES],
+                             ids=[case[0] for case in PRODUCER_CASES])
+    def test_bitwise_equal_to_in_process_oracle(self, monkeypatch, forks,
+                                                make, want_forks, forbid):
+        def run():
+            X, model, cfg, accountant, holdout = make()
+            _, report = train_dp_nf(X, model, cfg, accountant=accountant,
+                                    holdout=holdout)
+            return model.params.tobytes(), report.to_jsonl(), report
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_NoiseStream", OracleNoise)
+            want = run()
+        use_cpus(monkeypatch, 2)
+        if forbid is not None:
+            forbid(monkeypatch)
+        got = run()
+        assert got[:2] == want[:2]
+        assert len(forks) == want_forks
+        report = got[2]
+        if make is skipping_run:
+            assert (report.steps, report.skipped_batches) == (40, 20)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            X, model, cfg, accountant, holdout = moons_run(max_steps=10)
+            train_dp_nf(X, model, cfg, accountant=accountant)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        X, want, cfg, accountant, holdout = moons_run(max_steps=10)
+        train_dp_nf(X, want, cfg, accountant=accountant)
+        assert len(forks) == 1
+        assert model.params.tobytes() == want.params.tobytes()
+
+    def test_reaped_after_too_many_bad_batches(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        model = build_maf(2, n_blocks=1, hidden=4, seed=0)
+        model.layers[0].b2[:] = 1.0
+        model.layers[0].Wm[:] = 1e308  # every batch overflows
+        cfg = TrainConfig(epsilon=5.0, batch_size=16, max_steps=100, seed=0)
+        with pytest.raises(TrainingInstabilityError):
+            train_dp_nf(tiny_dataset(), model, cfg,
+                        accountant=StubAccountant(lambda t: 0.01 * t))
+        assert len(forks) == 1
+
+    def test_killed_and_reaped_after_an_error_in_a_step(self, monkeypatch,
+                                                        forks):
+        use_cpus(monkeypatch, 2)
+        real = training.apply_update
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(training, "apply_update", failing)
+        X, model, cfg, accountant, _ = moons_run(max_steps=500)
+        with pytest.raises(ValueError, match="injected"):
+            train_dp_nf(X, model, cfg, accountant=accountant)
+        assert len(forks) == 1
+
+    def test_killed_producer_raises_child_process_error(self, monkeypatch,
+                                                        forks):
+        use_cpus(monkeypatch, 2)
+        real = training.apply_update
+        calls = []
+
+        def kill_producer(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                os.kill(forks[0], signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(training, "apply_update", kill_producer)
+        X, model, cfg, accountant, _ = moons_run(max_steps=2000)
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="noise producer"):
+            train_dp_nf(X, model, cfg, accountant=accountant)
+        assert time.monotonic() - start < 10
+        assert len(calls) < 2 + NOISE_SLOTS + 1
+
+    def test_producer_dead_before_its_first_block(self, monkeypatch,
+                                                  forks):
+        """A run no longer than the ring frees no slot, so only the end of
+        the ready pipe can tell it that the producer died."""
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("noise drawn in the training process")
+
+        monkeypatch.setattr(training, "_draw_noise", die_in_child)
+        X, model, cfg, accountant, _ = moons_run(max_steps=NOISE_SLOTS)
+        before = model.params.copy()
+        with pytest.raises(ChildProcessError, match="noise producer"):
+            train_dp_nf(X, model, cfg, accountant=accountant)
+        assert model.params.tobytes() == before.tobytes()
+        assert len(forks) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_orphaned_producer_exits_at_its_pipe_write(self, monkeypatch):
+        """A producer whose run dies before taking a block fails its ready
+        write (EPIPE) and exits within seconds. The middle process starts
+        the run, reports the producer's pid and dies as soon as it is
+        forked; the producer draws its first block only once orphaned."""
+        use_cpus(monkeypatch, 2)
+        report_r, report_w = os.pipe()
+        middle = os.fork()
+        if middle == 0:
+            try:
+                os.close(report_r)
+                parent = os.getpid()
+                real_fork, draw = os.fork, training._draw_noise
+
+                def fork():
+                    pid = real_fork()
+                    if pid:
+                        os.write(report_w, str(pid).encode())
+                        os._exit(0)
+                    return pid
+
+                def draw_when_orphaned(*args):
+                    deadline = time.monotonic() + 30
+                    while os.getppid() == parent \
+                            and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    draw(*args)
+
+                os.fork = fork
+                training._draw_noise = draw_when_orphaned
+                X, model, cfg, accountant, _ = moons_run()
+                train_dp_nf(X, model, cfg, accountant=accountant)
+            finally:
+                os._exit(1)
+        os.close(report_w)
+        try:
+            producer = int(os.read(report_r, 64))
+        finally:
+            os.close(report_r)
+        assert os.waitstatus_to_exitcode(os.waitpid(middle, 0)[1]) == 0
+        try:
+            deadline = time.monotonic() + 10
+            while process_state(producer) not in (None, "Z"):
+                assert time.monotonic() < deadline, "orphaned producer runs on"
+                time.sleep(0.05)
+        finally:
+            if process_state(producer) is not None:
+                os.kill(producer, signal.SIGKILL)
+            try:  # a child only where this process adopts orphans
+                os.waitpid(producer, 0)
+            except ChildProcessError:
+                pass
