@@ -10,11 +10,12 @@ consulted again only at checkpoints and at the end.
 
 The noise does not depend on the model, so a forked producer process draws
 it ahead of the steps, on another CPU, from the run's own noise generator.
-The noise stays in this process when sigma is 0, when the run has no step,
-and where the library may not fork (``os.fork`` missing, another thread
-alive, one usable CPU). Nothing selects this: the draws, and so the params
-and the report, have the same bytes either way. The producer ends with the
-run, which raises ChildProcessError if it dies first.
+Nothing is forked when sigma is 0 (no noise) or the run has no step, and
+the noise stays in this process where the library may not fork
+(``os.fork`` missing, another thread alive, one usable CPU). Nothing
+selects this: the draws, and so the params and the report, have the same
+bytes either way. The producer ends with the run, which raises
+ChildProcessError if it dies first.
 """
 
 from __future__ import annotations
